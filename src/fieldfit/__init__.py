@@ -13,7 +13,6 @@ from .adaptive import (
     fit_adaptive,
     mark,
     reports_to_csv,
-    residual_indicator,
     residual_indicators,
 )
 from .darcy import (
@@ -33,13 +32,12 @@ from .errors import ConfigError, DataError, FieldfitError, NumericalError
 from .fields import (
     FieldData,
     SubdomainField,
-    absolute_l2_error,
     box_field_2d,
     relative_l2_error,
     smooth_field_2d,
     step_field_1d,
 )
-from .geometry import Box, Mesh, QuadratureRule, build_mesh, locate, locate_many, quadrature
+from .geometry import Box, Mesh, build_mesh, cell_quadrature, locate_many
 from .io import read_field, read_spe10, write_field, write_grid_csv
 from .partition import (
     DictionarySpec,
@@ -52,16 +50,12 @@ from .partition import (
     save,
 )
 from .rbf import (
-    FeatureMatrix,
     LocalSurrogate,
     RbfDictionary,
-    assemble_features,
     centroid_dictionary,
-    gaussian_eval,
     lattice_dictionary,
     shepard_eval,
     shepard_features,
-    shepard_normalize,
 )
 from .step_approx import (
     L1ErrorResult,

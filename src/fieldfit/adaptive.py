@@ -16,7 +16,8 @@ import numpy as np
 
 from .elastic_net import ElasticNetConfig, fit_log_field
 from .fields import SubdomainField, l2_misfit_parts
-from .geometry import QuadratureRule
+from .geometry import cell_quadrature
+from .io import _write_text
 from .rbf import LocalSurrogate, RbfDictionary, shepard_features
 
 # new-center offsets per marked cell, in units of the cell size
@@ -100,39 +101,32 @@ class RoundReport:
 REPORT_CSV_COLUMNS = ("round", "centers", "max_RT", "rel_L2", "objective", "seconds")
 
 
+def report_csv_row(r: RoundReport) -> str:
+    """One report as a CSV row in ``REPORT_CSV_COLUMNS`` order."""
+    return (
+        f"{r.round},{r.centers},{r.max_residual:.17g},{r.rel_l2:.17g},"
+        f"{r.objective:.17g},{r.seconds:.6f}"
+    )
+
+
 def reports_to_csv(reports, sink, provenance: str | None = None) -> None:
     """Write round reports as CSV; timing stays isolated in its own column."""
     lines = []
     if provenance:
         lines.append(f"# {provenance}")
     lines.append(",".join(REPORT_CSV_COLUMNS))
-    for r in reports:
-        lines.append(
-            f"{r.round},{r.centers},{r.max_residual:.17g},{r.rel_l2:.17g},"
-            f"{r.objective:.17g},{r.seconds:.6f}"
-        )
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w") as fh:
-            fh.write(text)
-
-
-def residual_indicator(surrogate, cell_value: float, quad: QuadratureRule) -> float:
-    """Quadrature residual sum_l w_l (K*(x_l) - K_T)^2 on one cell.
-
-    The surrogate is compared after any log-transform is undone, i.e. in
-    field units, so the indicator vanishes exactly when the reconstruction
-    matches the data at every quadrature point.
-    """
-    vals = np.asarray(surrogate.evaluate(quad.points), dtype=float)
-    return float(np.sum(quad.weights * (vals - cell_value) ** 2))
+    lines.extend(report_csv_row(r) for r in reports)
+    _write_text(sink, "\n".join(lines) + "\n")
 
 
 def residual_indicators(surrogate, sub: SubdomainField, order: int = 1) -> np.ndarray:
-    """Vectorized residual indicator for every cell of a subdomain."""
-    pts, wts = sub.quadrature(order)
+    """Quadrature residual sum_l w_l (K*(x_l) - K_T)^2 of every cell.
+
+    The surrogate is compared after any log-transform is undone, i.e. in
+    field units, so a cell's indicator vanishes exactly when the
+    reconstruction matches its value at every quadrature point.
+    """
+    pts, wts = cell_quadrature(sub.centroids, sub.cell_size, order)
     n, n_q, dim = pts.shape
     vals = np.asarray(surrogate.evaluate(pts.reshape(-1, dim)), dtype=float).reshape(n, n_q)
     return ((vals - sub.values[:, None]) ** 2) @ wts
@@ -262,6 +256,9 @@ def fit_adaptive(
             dictionary, marked, sub, config.eta, config.m_q,
             offsets=config.offsets_for_dim(sub.centroids.shape[1]),
         )
+        # the last batch is cut to the remaining budget, in candidate order
+        budget = config.m_max - added_total
+        centers, widths = centers[:budget], widths[:budget]
         if centers.shape[0] == 0:
             break
         dictionary = dictionary.extended(centers, widths, generation=rnd + 1)

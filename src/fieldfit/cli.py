@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import io as fio
-from .adaptive import AdaptiveConfig
+from .adaptive import REPORT_CSV_COLUMNS, AdaptiveConfig, report_csv_row
 from .darcy import (
     DarcyProblem,
     field_rel_error,
@@ -158,64 +158,60 @@ def _parse_offsets(text: str | None, dim: int):
     return offs
 
 
+def _fit_setup(args, mesh):
+    """Partition, dictionary spec and per-subdomain configs for ``fit``.
+
+    Their constructors validate every option; a ``ValueError`` from any of
+    them becomes a :class:`ConfigError`.
+    """
+    try:
+        part = make_partition(mesh, args.px, args.py)
+        n_sub = part.n_subdomains
+        lam1 = _parse_lams(args.l1, n_sub, "--l1")
+        lam2 = _parse_lams(args.l2, n_sub, "--l2")
+        offsets = _parse_offsets(args.offsets, mesh.dim)
+        spec = DictionarySpec(sigma=args.sigma, lattice=args.g)
+        configs = [
+            AdaptiveConfig(
+                k_top=args.ktop,
+                m_max=args.mmax,
+                eps_tol=args.eps_tol,
+                eta=args.eta,
+                m_q=args.mq,
+                max_rounds=args.max_rounds,
+                elastic=ElasticNetConfig(
+                    lam1=lam1[i], lam2=lam2[i], tol=args.tol, max_iters=args.max_iters
+                ),
+                offsets=offsets,
+                quad_order=args.quad_order,
+            )
+            for i in range(n_sub)
+        ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return part, spec, configs
+
+
 def cmd_fit(args) -> int:
     data = fio.read_field(args.field)
-    mesh = data.mesh
-    if args.py != 1 and mesh.dim == 1:
-        raise ConfigError("--py must be 1 for 1-D fields")
-    for n, p, axis in zip(mesh.counts, (args.px, args.py), "xy"):
-        if p < 1 or n % p != 0:
-            raise ConfigError(f"--p{axis}={p} does not divide n{axis}={n}")
-    part = make_partition(mesh, args.px, args.py)
-    n_sub = part.n_subdomains
-    lam1 = _parse_lams(args.l1, n_sub, "--l1")
-    lam2 = _parse_lams(args.l2, n_sub, "--l2")
-    offsets = _parse_offsets(args.offsets, mesh.dim)
-    if args.ktop < 1 or args.mq < 1 or not 0 < args.eta < 1:
-        raise ConfigError("require ktop >= 1, mq >= 1 and 0 < eta < 1")
-    if offsets is not None and len(offsets) != args.mq:
-        raise ConfigError(f"--offsets needs exactly {args.mq} entries")
-    configs = [
-        AdaptiveConfig(
-            k_top=args.ktop,
-            m_max=args.mmax,
-            eps_tol=args.eps_tol,
-            eta=args.eta,
-            m_q=args.mq,
-            max_rounds=args.max_rounds,
-            elastic=ElasticNetConfig(
-                lam1=lam1[i], lam2=lam2[i], tol=args.tol, max_iters=args.max_iters
-            ),
-            offsets=offsets,
-            quad_order=args.quad_order,
-        )
-        for i in range(n_sub)
-    ]
-    spec = DictionarySpec(sigma=args.sigma, lattice=args.g)
+    part, spec, configs = _fit_setup(args, data.mesh)
     surrogate, report = fit_parallel(
         data, part, configs, spec, workers=args.workers,
         metadata={"config": _provenance(args)},
     )
     save(surrogate, args.out)
     if args.reports:
-        merged = []
-        for i, rounds in enumerate(report.rounds):
-            merged.extend((i, r) for r in rounds)
-        _write_subdomain_reports(merged, args.reports, _provenance(args))
-    err = field_rel_error(data, surrogate, order=args.quad_order)
-    print(f"fit: {n_sub} subdomain(s), rel_l2={err:.6e}, wall={report.total_seconds:.2f}s")
-    return 0
-
-
-def _write_subdomain_reports(rows, path, provenance):
-    lines = [f"# {provenance}", "subdomain,round,centers,max_RT,rel_L2,objective,seconds"]
-    for i, r in rows:
-        lines.append(
-            f"{i},{r.round},{r.centers},{r.max_residual:.17g},{r.rel_l2:.17g},"
-            f"{r.objective:.17g},{r.seconds:.6f}"
+        lines = [f"# {_provenance(args)}", ",".join(("subdomain",) + REPORT_CSV_COLUMNS)]
+        lines.extend(
+            f"{i},{report_csv_row(r)}" for i, rounds in enumerate(report.rounds) for r in rounds
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fio._write_text(args.reports, "\n".join(lines) + "\n")
+    err = field_rel_error(data, surrogate, order=args.quad_order)
+    print(
+        f"fit: {part.n_subdomains} subdomain(s), rel_l2={err:.6e}, "
+        f"wall={report.total_seconds:.2f}s"
+    )
+    return 0
 
 
 def _grid_points(nx, ny, bounds, dim):
@@ -315,8 +311,7 @@ def cmd_darcy(args) -> int:
     if solution is not None and args.out_text:
         write_pressure_text(solution, args.out_text)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        fio._write_text(args.report, "\n".join(lines) + "\n")
     for line in lines[1:]:
         print(line)
     return 0
@@ -333,8 +328,7 @@ def cmd_verify_theory(args) -> int:
     rows = error_grid(cs, sigmas, b=args.b)
     lines = [f"# {_provenance(args)}", "c,sigma,b,numeric,analytic,rel_diff"]
     lines.extend(",".join(f"{v:.17g}" for v in row) for row in rows)
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fio._write_text(args.out, "\n".join(lines) + "\n")
     worst = max(r[-1] for r in rows)
     print(f"verify-theory: {len(rows)} cases, worst rel_diff={worst:.3e}")
     return 0

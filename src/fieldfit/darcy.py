@@ -19,11 +19,13 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .fields import FieldData, relative_l2_error
+from .io import _write_text
 
 FACES_2D = ("left", "right", "bottom", "top")
 FACES_1D = ("left", "right")
 
-# below this many unknowns a sparse direct factorization is cheaper than CG
+# below this many unknowns a sparse direct factorization of a 2D system is
+# cheaper than CG; 1D systems are tridiagonal and always solved directly
 _DIRECT_SOLVE_LIMIT = 20_000
 
 
@@ -268,7 +270,7 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
 
     n_free = int(free.sum())
     if n_free > 0:
-        if n_free <= _DIRECT_SOLVE_LIMIT:
+        if mesh.dim == 1 or n_free <= _DIRECT_SOLVE_LIMIT:
             xf = spla.spsolve(Aff.tocsc(), bf)
             method = "direct"
             iterations = 1
@@ -432,9 +434,4 @@ def write_pressure_text(solution: PressureSolution, sink) -> None:
         (x0, x1), (y0, y1) = mesh.bounds
         header = [f"2 {nx + 1} {ny + 1}", f"{x0:.17g} {x1:.17g} {y0:.17g} {y1:.17g}"]
     lines = header + [f"{v:.17g}" for v in solution.values]
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w") as fh:
-            fh.write(text)
+    _write_text(sink, "\n".join(lines) + "\n")

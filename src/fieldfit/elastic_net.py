@@ -14,20 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
 # sweeps between chances to try the active-set finish
 FINISH_CHUNK = 50
 # a finished solution is certified when its duality gap is this small
@@ -124,7 +110,6 @@ def fit(W, y, config: ElasticNetConfig, beta0=None) -> FitResult:
     r = y - Wf @ beta
 
     history = np.empty(config.max_iters)
-    loop = _cd_sweeps_jit if _HAVE_NUMBA else _cd_sweeps_numpy
     sweeps = 0
     converged = False
     # plain least squares has no duality-gap certificate, so no finish
@@ -133,7 +118,7 @@ def fit(W, y, config: ElasticNetConfig, beta0=None) -> FitResult:
     tried = set()
     while sweeps < config.max_iters:
         chunk = min(FINISH_CHUNK, config.max_iters - sweeps)
-        done, converged = loop(
+        done, converged = _cd_sweeps_numpy(
             Wf, col_sq, denom, config.lam1, config.lam2, config.tol, chunk,
             beta, r, history[sweeps:sweeps + chunk],
         )
@@ -220,59 +205,12 @@ def duality_gap(W, y, beta, config: ElasticNetConfig) -> float:
     return primal - dual
 
 
-@njit(cache=True)
-def _cd_sweeps_jit(W, col_sq, denom, lam1, lam2, tol, max_iters, beta, r, history):
-    """Cyclic coordinate-descent sweeps with residual updates, compiled.
+def _cd_sweeps_numpy(W, col_sq, denom, lam1, lam2, tol, max_iters, beta, r, history):
+    """Cyclic coordinate-descent sweeps with residual updates.
 
     Mutates ``beta``, ``r`` and ``history`` in place; returns the number of
     sweeps performed and whether the stopping rule was met.
     """
-    n, m = W.shape
-    sweeps = 0
-    converged = False
-    for s in range(max_iters):
-        max_delta = 0.0
-        for j in range(m):
-            b_old = beta[j]
-            z = col_sq[j] * b_old
-            for i in range(n):
-                z += W[i, j] * r[i]
-            if denom[j] > 0.0:
-                mag = abs(z) - lam1
-                if mag < 0.0:
-                    mag = 0.0
-                b_new = (mag if z >= 0.0 else -mag) / denom[j]
-            else:
-                b_new = 0.0
-            if b_new != b_old:
-                d = b_new - b_old
-                for i in range(n):
-                    r[i] -= d * W[i, j]
-                beta[j] = b_new
-                if abs(d) > max_delta:
-                    max_delta = abs(d)
-        rss = 0.0
-        for i in range(n):
-            rss += r[i] * r[i]
-        l1 = 0.0
-        l2 = 0.0
-        max_abs = 0.0
-        for j in range(m):
-            a = abs(beta[j])
-            l1 += a
-            l2 += beta[j] * beta[j]
-            if a > max_abs:
-                max_abs = a
-        history[s] = 0.5 * rss + lam1 * l1 + 0.5 * lam2 * l2
-        sweeps = s + 1
-        if max_delta <= tol * (max_abs if max_abs > 1.0 else 1.0):
-            converged = True
-            break
-    return sweeps, converged
-
-
-def _cd_sweeps_numpy(W, col_sq, denom, lam1, lam2, tol, max_iters, beta, r, history):
-    """Pure-numpy twin of :func:`_cd_sweeps_jit`; used when numba is absent."""
     n, m = W.shape
     sweeps = 0
     converged = False

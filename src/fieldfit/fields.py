@@ -90,10 +90,6 @@ class SubdomainField:
     def n_cells(self) -> int:
         return self.values.shape[0]
 
-    def quadrature(self, order: int):
-        """(points (n, n_q, dim), weights (n_q,)) for every owned cell."""
-        return cell_quadrature(self.centroids, self.cell_size, order)
-
 
 def relative_l2_error(sub: SubdomainField, evaluate, order: int = 1) -> float:
     """Relative L2 misfit between cell data and a continuous evaluator.
@@ -105,14 +101,9 @@ def relative_l2_error(sub: SubdomainField, evaluate, order: int = 1) -> float:
     return float(np.sqrt(num / den))
 
 
-def absolute_l2_error(sub: SubdomainField, evaluate, order: int = 1) -> float:
-    num, _ = l2_misfit_parts(sub, evaluate, order)
-    return float(np.sqrt(num))
-
-
 def l2_misfit_parts(sub: SubdomainField, evaluate, order: int):
     """Squared misfit and squared data norm, both by cellwise quadrature."""
-    pts, wts = sub.quadrature(order)
+    pts, wts = cell_quadrature(sub.centroids, sub.cell_size, order)
     n, n_q, dim = pts.shape
     approx = np.asarray(evaluate(pts.reshape(-1, dim)), dtype=float).reshape(n, n_q)
     diff2 = (approx - sub.values[:, None]) ** 2

@@ -1,4 +1,4 @@
-"""Structured 1D/2D cell meshes, quadrature rules, and half-open boxes.
+"""Structured 1D/2D cell meshes, cellwise quadrature, and half-open boxes.
 
 Cells are congruent axis-aligned intervals (1D) or rectangles (2D), indexed
 row-major with the x index fastest: ``index = iy * nx + ix``.  Boxes carry a
@@ -40,17 +40,6 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    @property
-    def measure(self) -> float:
-        return float(np.prod([h - l for l, h in zip(self.lo, self.hi)]))
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
-
-    def contains(self, point) -> bool:
-        return bool(self.contains_many(np.atleast_2d(np.asarray(point, dtype=float)))[0])
-
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an (n, dim) array of points."""
         pts = np.asarray(points, dtype=float)
@@ -68,20 +57,6 @@ class Box:
     def clamp(self, point: np.ndarray) -> np.ndarray:
         """Project a point onto the closed box."""
         return np.clip(np.asarray(point, dtype=float), self.lo, self.hi)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Points and positive weights on a single cell; weights sum to |T|."""
-
-    points: np.ndarray  # (n_q, dim)
-    weights: np.ndarray  # (n_q,)
-
-    def __post_init__(self):
-        if self.points.shape[0] != self.weights.shape[0]:
-            raise ValueError("points/weights length mismatch")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
 
 
 @dataclass(frozen=True)
@@ -131,22 +106,6 @@ class Mesh:
         xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
         return np.column_stack([xg.ravel(), yg.ravel()])
 
-    def cell_index(self, ix: int, iy: int = 0) -> int:
-        return iy * self.counts[0] + ix
-
-    def cell_multi_index(self, index: int) -> tuple[int, ...]:
-        nx = self.counts[0]
-        return (index % nx,) if self.dim == 1 else (index % nx, index // nx)
-
-    def cell_box(self, index: int) -> Box:
-        """Closed box of one cell (used for quadrature, not decomposition)."""
-        if not 0 <= index < self.n_cells:
-            raise IndexError(f"cell index {index} out of range")
-        mi = self.cell_multi_index(index)
-        lo = tuple(b[0] + i * d for i, b, d in zip(mi, self.bounds, self.cell_size))
-        hi = tuple(l + d for l, d in zip(lo, self.cell_size))
-        return Box(lo=lo, hi=hi, open_hi=(False,) * self.dim)
-
     @property
     def box(self) -> Box:
         """Closed box of the whole domain."""
@@ -179,32 +138,12 @@ def build_mesh(dim: int, counts, bounds) -> Mesh:
     return Mesh(dim=dim, counts=counts, bounds=bounds_t)
 
 
-def quadrature(cell: Box, order: int) -> QuadratureRule:
-    """Tensor-product quadrature on a cell.
-
-    order 1 is the midpoint rule (one point), order 2 the tensor 2-point
-    Gauss rule; order k is exact for polynomials of degree <= 2k - 1 per axis.
-    """
-    lo = np.asarray(cell.lo)
-    hi = np.asarray(cell.hi)
-    size = hi - lo
-    if order == 1:
-        pts = (0.5 * (lo + hi))[None, :]
-        wts = np.array([float(np.prod(size))])
-    elif order == 2:
-        axes = [lo[k] + np.array(_GAUSS2) * size[k] for k in range(cell.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wts = np.full(pts.shape[0], float(np.prod(size)) / pts.shape[0])
-    else:
-        raise ValueError(f"unsupported quadrature order {order} (use 1 or 2)")
-    return QuadratureRule(points=pts, weights=wts)
-
-
 def cell_quadrature(centroids: np.ndarray, cell_size, order: int):
-    """Quadrature points for many congruent cells at once.
+    """Tensor-product quadrature points for many congruent cells at once.
 
-    Returns (points, weights) with points of shape (n_cells, n_q, dim) and
+    Order 1 is the midpoint rule (one point), order 2 the tensor 2-point
+    Gauss rule; order k is exact for polynomials of degree <= 2k - 1 per
+    axis.  Returns (points, weights) with points of shape (n_cells, n_q, dim) and
     weights of shape (n_q,); the same weights apply to every cell.
     """
     c = np.asarray(centroids, dtype=float)
@@ -224,23 +163,12 @@ def cell_quadrature(centroids: np.ndarray, cell_size, order: int):
     return pts, wts
 
 
-def locate(point, boxes) -> int:
-    """Index of the unique box containing a point.
+def locate_many(points: np.ndarray, boxes) -> np.ndarray:
+    """Index of the unique box containing each point, as an (n,) array.
 
-    Relies on the half-open convention of the boxes; raises if the point is
+    Relies on the half-open convention of the boxes; raises if a point is
     outside every box or claimed by more than one.
     """
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
-    hits = [i for i, b in enumerate(boxes) if b.contains(pt)]
-    if not hits:
-        raise ValueError(f"point {pt.tolist()} lies outside all boxes")
-    if len(hits) > 1:
-        raise ValueError(f"point {pt.tolist()} claimed by boxes {hits}")
-    return hits[0]
-
-
-def locate_many(points: np.ndarray, boxes) -> np.ndarray:
-    """Vectorized ``locate``; returns an (n,) index array."""
     pts = np.asarray(points, dtype=float)
     owner = np.full(pts.shape[0], -1, dtype=int)
     claimed = np.zeros(pts.shape[0], dtype=bool)

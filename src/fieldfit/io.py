@@ -32,6 +32,15 @@ def _read_text(source) -> str:
         raise DataError(f"cannot read {source}: {exc}") from exc
 
 
+def _write_text(sink, text: str) -> None:
+    """Write text to an open file-like sink or to a path."""
+    if hasattr(sink, "write"):
+        sink.write(text)
+    else:
+        with open(sink, "w") as fh:
+            fh.write(text)
+
+
 def read_field(source) -> FieldData:
     """Parse a field file into cell data plus its mesh."""
     tokens = _read_text(source).split()
@@ -66,7 +75,7 @@ def read_field(source) -> FieldData:
     try:
         values = np.array(raw, dtype=float)
     except ValueError:
-        values = _parse_reporting_index(raw)
+        values = _parse_values(raw)
     bad = ~(values > 0) | ~np.isfinite(values)
     if np.any(bad):
         j = int(np.argmax(bad))
@@ -74,13 +83,14 @@ def read_field(source) -> FieldData:
     return FieldData(mesh=mesh, values=values)
 
 
-def _parse_reporting_index(raw):
+def _parse_values(raw, offset: int = 0):
+    """Floats of ``raw``; a bad token is reported at its index plus ``offset``."""
     out = np.empty(len(raw))
     for j, tok in enumerate(raw):
         try:
             out[j] = float(tok)
         except ValueError as exc:
-            raise DataError(f"non-numeric value {tok!r} at cell {j}") from exc
+            raise DataError(f"non-numeric value {tok!r} at offset {offset + j}") from exc
     return out
 
 
@@ -92,12 +102,7 @@ def write_field(data: FieldData, sink) -> None:
         " ".join(f"{v:.17g}" for b in mesh.bounds for v in b),
     ]
     lines.extend(f"{v:.17g}" for v in data.values)
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w") as fh:
-            fh.write(text)
+    _write_text(sink, "\n".join(lines) + "\n")
 
 
 def read_spe10(source, layer: int) -> FieldData:
@@ -120,23 +125,13 @@ def read_spe10(source, layer: int) -> FieldData:
     try:
         values = np.array(raw, dtype=float)
     except ValueError:
-        values = _parse_spe10_reporting_offset(raw, start)
+        values = _parse_values(raw, start)
     bad = ~(values > 0) | ~np.isfinite(values)
     if np.any(bad):
         j = int(np.argmax(bad))
         raise DataError(f"SPE10 value at token offset {start + j} is not positive: {raw[j]}")
     mesh = build_mesh(2, (SPE10_NX, SPE10_NY), ((0.0, SPE10_NX), (0.0, SPE10_NY)))
     return FieldData(mesh=mesh, values=values)
-
-
-def _parse_spe10_reporting_offset(raw, start):
-    out = np.empty(len(raw))
-    for j, tok in enumerate(raw):
-        try:
-            out[j] = float(tok)
-        except ValueError as exc:
-            raise DataError(f"non-numeric token {tok!r} at offset {start + j}") from exc
-    return out
 
 
 def write_grid_csv(points, values, sink, provenance: str | None = None) -> None:
@@ -158,9 +153,4 @@ def write_grid_csv(points, values, sink, provenance: str | None = None) -> None:
     else:
         lines.append("x,y,value")
         lines.extend(f"{p[0]:.17g},{p[1]:.17g},{v:.17g}" for p, v in zip(pts, vals))
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w") as fh:
-            fh.write(text)
+    _write_text(sink, "\n".join(lines) + "\n")

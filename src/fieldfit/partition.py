@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptive import AdaptiveConfig, RoundReport, fit_adaptive
-from .errors import DataError
+from .errors import DataError, FieldfitError
 from .fields import FieldData, SubdomainField
 from .geometry import Box, Mesh, build_mesh, locate_many
+from .io import _read_text, _write_text
 from .rbf import LocalSurrogate, RbfDictionary, centroid_dictionary, lattice_dictionary
 
 SURROGATE_FORMAT = "fieldfit-surrogate"
@@ -159,6 +160,9 @@ def _fit_one(args):
     t0 = time.perf_counter()
     try:
         surrogate, reports = fit_adaptive(sub, spec.build(sub), cfg)
+    except FieldfitError as exc:
+        # keep the class, so the CLI still maps it to its exit code
+        raise type(exc)(f"subdomain {index}: {exc}") from exc
     except Exception as exc:  # noqa: BLE001 - annotate with the subdomain index
         raise RuntimeError(f"fit failed on subdomain {index}: {exc}") from exc
     return index, surrogate, tuple(reports), time.perf_counter() - t0
@@ -239,25 +243,21 @@ def save(surrogate: GlobalSurrogate, sink) -> None:
             coords = " ".join(f"{v:.17g}" for v in c)
             lines.append(f"{coords} {w:.17g} {b:.17g} {int(g)}")
     lines.append("end")
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w") as fh:
-            fh.write(text)
+    _write_text(sink, "\n".join(lines) + "\n")
 
 
 def load(source) -> GlobalSurrogate:
-    """Read a surrogate written by :func:`save`."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read {source}: {exc}") from exc
-    lines = text.splitlines()
+    """Read a surrogate written by :func:`save`.
+
+    Malformed or inconsistent input of any kind raises :class:`DataError`.
+    """
+    try:
+        return _parse_surrogate(_read_text(source).splitlines())
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"malformed surrogate file: {exc}") from exc
+
+
+def _parse_surrogate(lines) -> GlobalSurrogate:
     pos = 0
 
     def next_line():
@@ -271,17 +271,16 @@ def load(source) -> GlobalSurrogate:
     header = next_line().split()
     if len(header) != 2 or header[0] != SURROGATE_FORMAT:
         raise DataError(f"not a surrogate file (header {header!r})")
-    if int(header[1]) != SURROGATE_VERSION:
+    if header[1] != str(SURROGATE_VERSION):
         raise DataError(f"unsupported surrogate format version {header[1]}")
 
-    try:
-        dim = int(_expect(next_line(), "dim")[0])
-        counts = tuple(int(v) for v in _expect(next_line(), "counts"))
-        flat = [float(v) for v in _expect(next_line(), "bounds")]
-        bounds = tuple((flat[2 * k], flat[2 * k + 1]) for k in range(dim))
-        grid = tuple(int(v) for v in _expect(next_line(), "grid"))
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"malformed surrogate header: {exc}") from exc
+    dim = int(_expect(next_line(), "dim")[0])
+    counts = tuple(int(v) for v in _expect(next_line(), "counts"))
+    flat = [float(v) for v in _expect(next_line(), "bounds")]
+    bounds = tuple((flat[2 * k], flat[2 * k + 1]) for k in range(dim))
+    grid = tuple(int(v) for v in _expect(next_line(), "grid"))
+    if len(grid) != dim:
+        raise ValueError(f"grid has {len(grid)} entries for dim {dim}")
 
     metadata = {}
     line = next_line()

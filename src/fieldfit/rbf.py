@@ -1,4 +1,4 @@
-"""Gaussian RBF dictionaries, feature assembly, and Shepard normalization.
+"""Gaussian RBF dictionaries, Shepard-normalized features, and local surrogates.
 
 A dictionary is an ordered list of (center, width) pairs defining Gaussian
 bases exp(-||x - c||^2 / (2 sigma^2)).  Shepard normalization rescales the
@@ -91,62 +91,21 @@ class RbfDictionary:
         return out
 
 
-def gaussian_eval(x, c, sigma: float) -> float:
-    """Single Gaussian basis value exp(-||x - c||^2 / (2 sigma^2))."""
-    if sigma <= 0:
-        raise ValueError(f"width must be positive, got {sigma}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    d2 = float(np.sum((x - c) ** 2))
-    return float(np.exp(-d2 / (2.0 * sigma**2)))
+def _shifted_weights(points, dictionary: RbfDictionary) -> np.ndarray:
+    """Gaussian weights exp(l - max l) per row, l the log-features.
 
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Basis evaluations at sampling points, raw or Shepard-normalized.
-
-    The raw exponents are retained when the matrix was assembled from a
-    dictionary so normalization can shift them row-wise before
-    exponentiating; far-field rows then normalize exactly even when every
-    raw entry underflows to zero.
+    Each row holds at least one entry equal to 1, so rows far from every
+    center still normalize exactly when every raw Gaussian underflows.
     """
-
-    values: np.ndarray  # (N, M)
-    normalized: bool = False
-    log_values: np.ndarray | None = None
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
-def assemble_features(points, dictionary: RbfDictionary) -> FeatureMatrix:
-    """Raw feature matrix Phi[j, m] = phi_m(x_j)."""
-    if len(dictionary) == 0:
-        raise ValueError("dictionary must not be empty")
     log_phi = dictionary.log_features(points)
-    return FeatureMatrix(values=np.exp(log_phi), normalized=False, log_values=log_phi)
-
-
-def shepard_normalize(fm: FeatureMatrix) -> FeatureMatrix:
-    """Row-normalize a raw feature matrix so each row sums to one."""
-    if fm.normalized:
-        raise ValueError("feature matrix is already normalized")
-    if fm.log_values is not None:
-        w = np.exp(fm.log_values - fm.log_values.max(axis=1, keepdims=True))
-    else:
-        w = fm.values.copy()
-        sums = w.sum(axis=1)
-        if np.any(sums <= 0):
-            j = int(np.argmax(sums <= 0))
-            raise ValueError(f"row {j} of the feature matrix sums to zero")
-    w /= w.sum(axis=1, keepdims=True)
-    return FeatureMatrix(values=w, normalized=True, log_values=None)
+    return np.exp(log_phi - log_phi.max(axis=1, keepdims=True))
 
 
 def shepard_features(points, dictionary: RbfDictionary) -> np.ndarray:
-    """Shepard-normalized weights at the given points as a plain array."""
-    return shepard_normalize(assemble_features(points, dictionary)).values
+    """Shepard-normalized weights at the given points; each row sums to one."""
+    w = _shifted_weights(points, dictionary)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
@@ -159,8 +118,7 @@ def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
         raise ValueError(
             f"coefficient length {beta.shape} does not match dictionary size {len(dictionary)}"
         )
-    log_phi = dictionary.log_features(points)
-    w = np.exp(log_phi - log_phi.max(axis=1, keepdims=True))
+    w = _shifted_weights(points, dictionary)
     denom = w.sum(axis=1)
     if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
         raise FloatingPointError("Shepard denominator degenerate")

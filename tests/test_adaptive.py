@@ -7,12 +7,10 @@ from fieldfit.adaptive import (
     fit_adaptive,
     mark,
     reports_to_csv,
-    residual_indicator,
     residual_indicators,
 )
 from fieldfit.elastic_net import ElasticNetConfig
 from fieldfit.fields import box_field_2d, step_field_1d
-from fieldfit.geometry import quadrature
 from fieldfit.rbf import LocalSurrogate, RbfDictionary, centroid_dictionary, shepard_features
 
 STEP_ELASTIC = ElasticNetConfig(lam1=4.59e-4, lam2=4.64e-6)
@@ -28,8 +26,7 @@ def test_residual_zero_on_exact_fit():
     field = step_field_1d(4)
     sur = _constant_surrogate(1e-1)
     cell = 3  # right plateau
-    quad = quadrature(field.mesh.cell_box(cell), 1)
-    assert residual_indicator(sur, field.values[cell], quad) == 0.0
+    assert residual_indicators(sur, field.whole(), order=1)[cell] == 0.0
 
 
 def test_residual_constant_mismatch_midpoint():
@@ -37,10 +34,9 @@ def test_residual_constant_mismatch_midpoint():
     field = box_field_2d(4, 4)
     sur = _constant_surrogate(0.5, dim=2)
     cell = 5
-    quad = quadrature(field.mesh.cell_box(cell), 1)
     area = field.mesh.cell_measure
     d = 0.5 - field.values[cell]
-    got = residual_indicator(sur, field.values[cell], quad)
+    got = residual_indicators(sur, field.whole(), order=1)[cell]
     assert got == pytest.approx(area * d * d, rel=1e-12)
 
 
@@ -58,12 +54,8 @@ def test_step_residuals_peak_at_jump():
     res = fit(W, sub.values, STEP_ELASTIC)
     sur = LocalSurrogate(dictionary=d, beta=res.beta, log_transform=False)
     r = residual_indicators(sur, sub, order=1)
-    brute = np.array(
-        [
-            residual_indicator(sur, field.values[i], quadrature(field.mesh.cell_box(i), 1))
-            for i in range(field.mesh.n_cells)
-        ]
-    )
+    # midpoint rule per cell: |T| (K*(centroid) - K_T)^2
+    brute = field.mesh.cell_measure * (sur.evaluate(field.mesh.centroids) - field.values) ** 2
     np.testing.assert_allclose(r, brute, rtol=1e-12)
     top_two = set(int(i) for i in np.argsort(-r)[:2])
     assert top_two == {7, 8}
@@ -161,6 +153,16 @@ def test_step_adaptive_concentrates_near_jump_and_decreases():
     added = sur.dictionary.centers[sur.dictionary.generations > 0, 0]
     assert added.size == 6
     assert np.all(np.abs(added - 0.015625) < 2 * sub.cell_size[0])
+
+
+def test_m_max_caps_added_bases():
+    # k_top * m_q = 3 per round, so the second batch is cut from 3 to 1
+    field = step_field_1d(16)
+    sub = field.whole()
+    cfg = AdaptiveConfig(k_top=1, m_max=4, eta=0.5, m_q=3, elastic=STEP_ELASTIC, max_rounds=10)
+    sur, reports = fit_adaptive(sub, centroid_dictionary(sub.centroids, 0.0019), cfg)
+    assert int((sur.dictionary.generations > 0).sum()) == 4
+    assert [r.added for r in reports] == [0, 3, 4]
 
 
 def test_round_report_centers_arithmetic():

@@ -63,6 +63,25 @@ def test_fit_nondividing_px_is_config_error(tmp_path, small_field):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--sigma", "0"),
+        ("--mmax", "-1"),
+        ("--max-rounds", "0"),
+        ("--g", "0"),
+        ("--tol", "0"),
+        ("--l1", "-1"),
+        ("--eps-tol", "-1"),
+        ("--max-iters", "0"),
+    ],
+)
+def test_fit_invalid_option_is_config_error(tmp_path, small_field, option, value):
+    rc = main(_fit_args(small_field, tmp_path / "s.txt", **{option: value}))
+    assert rc == 2
+    assert not (tmp_path / "s.txt").exists()
+
+
 def test_fit_missing_field_is_data_error(tmp_path):
     rc = main(_fit_args(tmp_path / "nope.txt", tmp_path / "s.txt"))
     assert rc == 3
@@ -105,6 +124,16 @@ def test_eval_out_of_domain_grid_fails(tmp_path, small_field):
     rc = main(
         ["eval", "--surrogate", str(sur), "--nx", "4", "--ny", "4",
          "--bounds", "0,2,0,2", "--out", str(tmp_path / "e.csv")]
+    )
+    assert rc == 3
+
+
+def test_eval_malformed_surrogate_is_data_error(tmp_path, small_field):
+    sur = tmp_path / "sur.txt"
+    main(_fit_args(small_field, sur))
+    sur.write_text(sur.read_text().replace("grid 1 1", "grid 3 3", 1))
+    rc = main(
+        ["eval", "--surrogate", str(sur), "--nx", "4", "--ny", "4", "--out", str(tmp_path / "e.csv")]
     )
     assert rc == 3
 

@@ -47,6 +47,16 @@ def test_two_layer_series_exact_1d():
     assert sol.interpolate([0.5])[0] == pytest.approx(k1 / (k1 + k2), abs=1e-12)
 
 
+def test_large_1d_system_solves_directly():
+    # above the 2D direct-solve limit; the tridiagonal system stays direct
+    mesh = line_mesh(24_576, (0, 1))
+    sol = solve_darcy(_left_right(mesh, _ones))
+    assert sol.diagnostics["method"] == "direct"
+    assert sol.diagnostics["residual"] <= 1e-12
+    # the condition number grows like n^2 ~ 6e8, so nodal rounding reaches ~3e-11
+    np.testing.assert_allclose(sol.values, 1 - mesh.nodes, rtol=0, atol=1e-9)
+
+
 def test_manufactured_solution_second_order():
     def source(p):
         return 2 * np.pi**2 * np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])

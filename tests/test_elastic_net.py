@@ -171,21 +171,6 @@ def test_fit_log_field_two_value_targets():
     np.testing.assert_allclose(res.beta, [-4 * np.log(10), -np.log(10)], atol=1e-10)
 
 
-def test_numpy_fallback_agrees_with_jit(monkeypatch):
-    import fieldfit.elastic_net as en
-
-    rng = np.random.default_rng(31)
-    W = rng.standard_normal((14, 9))
-    y = rng.standard_normal(14)
-    cfg = ElasticNetConfig(lam1=0.08, lam2=0.02)
-    fast = fit(W, y, cfg)
-    monkeypatch.setattr(en, "_HAVE_NUMBA", False)
-    slow = fit(W, y, cfg)
-    assert slow.converged and fast.converged
-    np.testing.assert_allclose(slow.beta, fast.beta, atol=1e-9)
-    assert abs(slow.objective - fast.objective) <= 1e-12
-
-
 def test_objective_value_matches_history():
     rng = np.random.default_rng(21)
     W = rng.standard_normal((9, 4))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fieldfit.geometry import Box, build_mesh, cell_quadrature, locate, locate_many, quadrature
+from fieldfit.geometry import Box, build_mesh, cell_quadrature, locate_many
 
 
 def test_mesh_32x32_unit_square():
@@ -28,8 +28,6 @@ def test_mesh_2x2_centroids():
 def test_mesh_row_major_indexing():
     mesh = build_mesh(2, (3, 2), ((0, 3), (0, 2)))
     # cell (ix=2, iy=1) -> index 1*3+2 = 5
-    assert mesh.cell_index(2, 1) == 5
-    assert mesh.cell_multi_index(5) == (2, 1)
     np.testing.assert_allclose(mesh.centroids[5], [2.5, 1.5])
 
 
@@ -44,33 +42,34 @@ def test_mesh_errors():
 
 def test_midpoint_rule_weight_is_area():
     mesh = build_mesh(2, (1, 1), ((0, 1), (0, 1)))
-    rule = quadrature(mesh.cell_box(0), order=1)
-    assert rule.points.shape == (1, 2)
-    assert rule.weights[0] == pytest.approx(1.0)
+    pts, wts = cell_quadrature(mesh.centroids, mesh.cell_size, order=1)
+    assert pts[0].shape == (1, 2)
+    assert wts[0] == pytest.approx(1.0)
 
 
 def test_gauss2_integrates_x2y2():
     mesh = build_mesh(2, (1, 1), ((0, 1), (0, 1)))
-    rule = quadrature(mesh.cell_box(0), order=2)
-    val = np.sum(rule.weights * rule.points[:, 0] ** 2 * rule.points[:, 1] ** 2)
+    pts, wts = cell_quadrature(mesh.centroids, mesh.cell_size, order=2)
+    val = np.sum(wts * pts[0, :, 0] ** 2 * pts[0, :, 1] ** 2)
     assert val == pytest.approx(1 / 9, rel=1e-14)
 
 
 def test_gauss2_weights_sum_to_area():
     mesh = build_mesh(2, (5, 3), ((0, 2), (1, 4)))
-    rule = quadrature(mesh.cell_box(7), order=2)
-    assert rule.weights.sum() == pytest.approx(mesh.cell_measure, rel=1e-14)
+    _, wts = cell_quadrature(mesh.centroids[7:8], mesh.cell_size, order=2)
+    assert wts.sum() == pytest.approx(mesh.cell_measure, rel=1e-14)
 
 
 def test_quadrature_unsupported_order():
     mesh = build_mesh(1, 2, (0, 1))
     with pytest.raises(ValueError):
-        quadrature(mesh.cell_box(0), order=3)
+        cell_quadrature(mesh.centroids, mesh.cell_size, order=3)
 
 
 def test_midpoint_weights_sum_to_domain_measure():
     mesh = build_mesh(2, (17, 9), ((0.2, 1.7), (-1, 2)))
-    total = sum(quadrature(mesh.cell_box(i), 1).weights.sum() for i in range(mesh.n_cells))
+    pts, wts = cell_quadrature(mesh.centroids, mesh.cell_size, 1)
+    total = wts.sum() * pts.shape[0]
     measure = 1.5 * 3.0
     assert abs(total - measure) / measure < 1e-12
 
@@ -80,11 +79,9 @@ def test_locate_half_open_split():
         Box(lo=(0.0,), hi=(0.5,), open_hi=(True,)),
         Box(lo=(0.5,), hi=(1.0,), open_hi=(False,)),
     )
-    assert locate(0.5, boxes) == 1
-    assert locate(0.25, boxes) == 0
-    assert locate(1.0, boxes) == 1
+    np.testing.assert_array_equal(locate_many(np.array([[0.5], [0.25], [1.0]]), boxes), [1, 0, 1])
     with pytest.raises(ValueError):
-        locate(1.5, boxes)
+        locate_many(np.array([[1.5]]), boxes)
 
 
 def test_locate_global_upper_corner():
@@ -92,7 +89,7 @@ def test_locate_global_upper_corner():
         Box(lo=(0, 0), hi=(0.5, 1.0), open_hi=(True, False)),
         Box(lo=(0.5, 0), hi=(1.0, 1.0), open_hi=(False, False)),
     )
-    assert locate((1.0, 1.0), boxes) == 1
+    np.testing.assert_array_equal(locate_many(np.array([[1.0, 1.0]]), boxes), [1])
 
 
 def test_locate_partition_no_double_membership():
@@ -122,8 +119,10 @@ def test_locate_partition_no_double_membership():
 def test_cell_quadrature_matches_single_cell_rule():
     mesh = build_mesh(2, (4, 4), ((0, 1), (0, 1)))
     pts, wts = cell_quadrature(mesh.centroids, mesh.cell_size, 2)
-    rule = quadrature(mesh.cell_box(5), 2)
-    np.testing.assert_allclose(np.sort(pts[5], axis=0), np.sort(rule.points, axis=0), atol=1e-15)
+    # cell 5 is (ix=1, iy=1) = [0.25, 0.5]^2; Gauss nodes at 1/2 -+ 1/(2 sqrt 3)
+    nodes = 0.25 + 0.25 * np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+    expected = np.array([[x, y] for x in nodes for y in nodes])
+    np.testing.assert_allclose(np.sort(pts[5], axis=0), np.sort(expected, axis=0), atol=1e-15)
     np.testing.assert_allclose(wts.sum(), mesh.cell_measure)
 
 

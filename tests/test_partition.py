@@ -7,7 +7,7 @@ from fieldfit.adaptive import AdaptiveConfig, fit_adaptive
 from fieldfit.elastic_net import ElasticNetConfig
 from fieldfit.errors import DataError
 from fieldfit.fields import FieldData, box_field_2d, step_field_1d
-from fieldfit.geometry import build_mesh, locate
+from fieldfit.geometry import build_mesh, locate_many
 from fieldfit.partition import (
     DictionarySpec,
     GlobalSurrogate,
@@ -64,8 +64,8 @@ def test_partition_boxes_cover_domain_once():
 def test_partition_centroid_map_matches_locate():
     mesh = build_mesh(2, (8, 8), ((0, 1), (0, 1)))
     part = make_partition(mesh, 2, 4)
-    for i, c in enumerate(mesh.centroids):
-        assert locate(c, part.boxes) == part.cell_to_subdomain[i]
+    owner = locate_many(mesh.centroids, part.boxes)
+    np.testing.assert_array_equal(owner, part.cell_to_subdomain)
 
 
 def test_fit_parallel_1x1_matches_direct():
@@ -113,6 +113,21 @@ def test_fit_parallel_failure_reports_subdomain_index():
     specs = [DictionarySpec(sigma=0.1), _BrokenSpec(sigma=0.1)]
     with pytest.raises(RuntimeError, match="subdomain 1"):
         fit_parallel(field, part, PLAIN_CFG, specs)
+
+
+class _BadDataSpec(DictionarySpec):
+    def build(self, sub):
+        raise DataError("bad cells")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fit_parallel_keeps_fieldfit_error_class(workers):
+    mesh = build_mesh(2, (4, 4), ((0, 1), (0, 1)))
+    field = FieldData(mesh=mesh, values=np.ones(16))
+    part = make_partition(mesh, 2, 2)
+    specs = [DictionarySpec(sigma=0.1)] * 3 + [_BadDataSpec(sigma=0.1)]
+    with pytest.raises(DataError, match="subdomain 3: bad cells"):
+        fit_parallel(field, part, PLAIN_CFG, specs, workers=workers)
 
 
 def test_fit_parallel_broadcast_length_mismatch():
@@ -226,6 +241,28 @@ def test_load_rejects_truncation_and_bad_header():
         loads("something else entirely\n")
     with pytest.raises(DataError, match="version"):
         loads(text.replace("fieldfit-surrogate 1", "fieldfit-surrogate 99", 1))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("fieldfit-surrogate 1", "fieldfit-surrogate x"),
+        ("grid 1 1", "grid 3 3"),
+        ("grid 1 1", "grid 1 1 1"),
+        ("meta config cfg", "meta k"),
+    ],
+    ids=["version", "grid-divisor", "grid-arity", "meta-value"],
+)
+def test_load_malformed_input_is_data_error(old, new):
+    field = box_field_2d(8, 8)
+    part = make_partition(field.mesh, 1, 1)
+    surrogate, _ = fit_parallel(
+        field, part, PLAIN_CFG, DictionarySpec(sigma=0.3), metadata={"config": "cfg"}
+    )
+    text = dumps(surrogate)
+    assert old in text
+    with pytest.raises(DataError):
+        loads(text.replace(old, new, 1))
 
 
 def test_mesh_free_reuse_on_other_grids():

@@ -5,12 +5,10 @@ from fieldfit.geometry import Box
 from fieldfit.rbf import (
     LocalSurrogate,
     RbfDictionary,
-    assemble_features,
     centroid_dictionary,
-    gaussian_eval,
     lattice_dictionary,
     shepard_eval,
-    shepard_normalize,
+    shepard_features,
 )
 
 # the three-basis configuration used for the normalization illustrations
@@ -20,90 +18,78 @@ EXAMPLE3 = RbfDictionary(
 )
 
 
+def _raw(points, dictionary):
+    """Unnormalized Gaussian values phi_m(x_j)."""
+    return np.exp(dictionary.log_features(points))
+
+
+def _single(sigma, center):
+    return RbfDictionary(centers=np.atleast_2d(center), widths=np.array([sigma]))
+
+
 def test_gaussian_at_center():
-    assert gaussian_eval([0.2, 0.4], [0.2, 0.4], 0.1) == 1.0
+    assert _raw([[0.2, 0.4]], _single(0.1, [0.2, 0.4]))[0, 0] == 1.0
 
 
 def test_gaussian_at_one_and_two_sigma():
-    assert gaussian_eval(0.1, 0.0, 0.1) == pytest.approx(np.exp(-0.5), rel=1e-14)
-    assert gaussian_eval(0.2, 0.0, 0.1) == pytest.approx(np.exp(-2.0), rel=1e-14)
+    d = _single(0.1, [0.0])
+    assert _raw([[0.1]], d)[0, 0] == pytest.approx(np.exp(-0.5), rel=1e-14)
+    assert _raw([[0.2]], d)[0, 0] == pytest.approx(np.exp(-2.0), rel=1e-14)
 
 
 def test_gaussian_rejects_bad_width():
     with pytest.raises(ValueError):
-        gaussian_eval(0.0, 0.0, 0.0)
+        _single(0.0, [0.0])
 
 
 def test_single_point_at_center_gives_one():
     d = RbfDictionary(centers=np.array([[0.5]]), widths=np.array([0.2]))
-    fm = assemble_features(np.array([[0.5]]), d)
-    assert fm.values.shape == (1, 1)
-    assert fm.values[0, 0] == 1.0
-    assert not fm.normalized
+    values = _raw(np.array([[0.5]]), d)
+    assert values.shape == (1, 1)
+    assert values[0, 0] == 1.0
 
 
 def test_point_on_center_column_is_one():
-    fm = assemble_features(np.array([[0.3, 0.3]]), EXAMPLE3)
-    assert fm.values[0, 0] == 1.0
-    assert np.all(fm.values[0, 1:] < 1.0)
+    values = _raw(np.array([[0.3, 0.3]]), EXAMPLE3)
+    assert values[0, 0] == 1.0
+    assert np.all(values[0, 1:] < 1.0)
 
 
 def test_raw_entries_in_unit_interval():
     rng = np.random.default_rng(3)
     pts = rng.random((40, 2))
-    fm = assemble_features(pts, EXAMPLE3)
-    assert np.all(fm.values > 0)
-    assert np.all(fm.values <= 1)
+    values = _raw(pts, EXAMPLE3)
+    assert np.all(values > 0)
+    assert np.all(values <= 1)
 
 
 def test_normalize_single_column():
     d = RbfDictionary(centers=np.array([[0.2]]), widths=np.array([0.05]))
-    fm = shepard_normalize(assemble_features(np.linspace(0, 1, 9)[:, None], d))
-    np.testing.assert_allclose(fm.values, 1.0)
-    assert fm.normalized
-
-
-def _raw_matrix(values):
-    from fieldfit.rbf import FeatureMatrix
-
-    return FeatureMatrix(values=np.asarray(values, dtype=float), normalized=False)
+    w = shepard_features(np.linspace(0, 1, 9)[:, None], d)
+    np.testing.assert_allclose(w, 1.0)
 
 
 def test_normalize_symmetric_row():
-    fm = shepard_normalize(_raw_matrix([[0.37, 0.37]]))
-    np.testing.assert_allclose(fm.values, [[0.5, 0.5]])
+    d = RbfDictionary(centers=np.array([[0.25], [0.75]]), widths=np.array([0.2, 0.2]))
+    w = shepard_features(np.array([[0.5]]), d)
+    np.testing.assert_allclose(w, [[0.5, 0.5]])
 
 
 def test_normalize_rows_sum_to_one():
     rng = np.random.default_rng(11)
     pts = rng.random((50, 2))
-    fm = shepard_normalize(assemble_features(pts, EXAMPLE3))
-    np.testing.assert_allclose(fm.values.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(fm.values >= 0)
-    assert np.all(fm.values <= 1)
-
-
-def test_normalize_rejects_double_normalization():
-    fm = shepard_normalize(assemble_features(np.array([[0.4, 0.4]]), EXAMPLE3))
-    with pytest.raises(ValueError):
-        shepard_normalize(fm)
-
-
-def test_normalize_zero_row_reports_index():
-    from fieldfit.rbf import FeatureMatrix
-
-    raw = FeatureMatrix(values=np.array([[0.5, 0.5], [0.0, 0.0]]), normalized=False)
-    with pytest.raises(ValueError, match="row 1"):
-        shepard_normalize(raw)
+    w = shepard_features(pts, EXAMPLE3)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(w >= 0)
+    assert np.all(w <= 1)
 
 
 def test_normalize_survives_underflow_with_exponents():
     # probe so far from both narrow kernels that raw values underflow to 0
     d = RbfDictionary(centers=np.array([[0.0], [0.1]]), widths=np.array([0.001, 0.001]))
-    fm = assemble_features(np.array([[50.0]]), d)
-    assert np.all(fm.values == 0.0)
-    norm = shepard_normalize(fm)
-    np.testing.assert_allclose(norm.values.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(_raw(np.array([[50.0]]), d) == 0.0)
+    w = shepard_features(np.array([[50.0]]), d)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_shepard_eval_constant_coefficients():
@@ -142,17 +128,17 @@ def test_partition_of_unity_random_dictionaries():
             widths=rng.uniform(0.01, 0.3, m),
         )
         pts = rng.random((1000, 2))
-        fm = shepard_normalize(assemble_features(pts, d))
-        np.testing.assert_allclose(fm.values.sum(axis=1), 1.0, atol=1e-10)
+        w = shepard_features(pts, d)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-10)
 
 
 def test_shift_covariance():
     rng = np.random.default_rng(9)
     pts = rng.random((20, 2))
     shift = np.array([0.37, -0.81])
-    base = assemble_features(pts, EXAMPLE3).values
+    base = _raw(pts, EXAMPLE3)
     shifted_dict = RbfDictionary(centers=EXAMPLE3.centers + shift, widths=EXAMPLE3.widths)
-    shifted = assemble_features(pts + shift, shifted_dict).values
+    shifted = _raw(pts + shift, shifted_dict)
     np.testing.assert_allclose(shifted, base, atol=1e-14)
 
 
