@@ -84,8 +84,9 @@ class RoundReport:
     ``added`` the number of bases appended before it, so both the
     total-count and added-count readings of a refinement history are
     available.  ``rel_l2``/``abs_l2`` are the quadrature misfits against the
-    cell data.  ``seconds`` is wall time and is the only
-    non-reproducible field.
+    cell data.  ``iterations`` and ``converged`` are the Elastic Net
+    solver's (see :class:`~fieldfit.elastic_net.FitResult`).  ``seconds`` is
+    wall time and is the only non-reproducible field.
     """
 
     round: int
@@ -95,6 +96,8 @@ class RoundReport:
     rel_l2: float
     abs_l2: float
     objective: float
+    iterations: int
+    converged: bool
     seconds: float
 
 
@@ -239,6 +242,8 @@ def fit_adaptive(
                 rel_l2=float(np.sqrt(num / den)),
                 abs_l2=float(np.sqrt(num)),
                 objective=result.objective,
+                iterations=result.iterations,
+                converged=result.converged,
                 seconds=time.perf_counter() - t0,
             )
         )

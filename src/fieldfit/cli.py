@@ -80,8 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--max-rounds", type=int, default=50)
     f.add_argument("--quad-order", type=int, default=1, choices=(1, 2))
     f.add_argument("--offsets", help="new-center offsets in cell units, e.g. '0,0;-0.25,0;0.25,0'")
-    f.add_argument("--tol", type=float, default=1e-10, help="coordinate-descent tolerance")
-    f.add_argument("--max-iters", type=int, default=100_000, help="coordinate-descent sweep cap")
+    f.add_argument(
+        "--tol", type=float, default=1e-10,
+        help="relative duality gap at which the Elastic Net solver starts its active-set finish",
+    )
+    f.add_argument(
+        "--max-iters", type=int, default=100_000,
+        help="cap on Elastic Net proximal-gradient iterations per fit",
+    )
     f.add_argument("--workers", type=int, default=1)
     f.set_defaults(func=cmd_fit)
 
@@ -187,6 +193,9 @@ def _fit_setup(args, mesh):
             )
             for i in range(n_sub)
         ]
+        if args.mmax > 0:
+            # enrichment needs offsets: fail now, not after the first fit
+            configs[0].offsets_for_dim(mesh.dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return part, spec, configs
@@ -206,6 +215,13 @@ def cmd_fit(args) -> int:
             f"{i},{report_csv_row(r)}" for i, rounds in enumerate(report.rounds) for r in rounds
         )
         fio._write_text(args.reports, "\n".join(lines) + "\n")
+    unconverged = [str(i) for i, rounds in enumerate(report.rounds) if not rounds[-1].converged]
+    if unconverged:
+        print(
+            f"warning: the final Elastic Net fit of subdomain(s) {', '.join(unconverged)} "
+            "is not certified optimal",
+            file=sys.stderr,
+        )
     err = field_rel_error(data, surrogate, order=args.quad_order)
     print(
         f"fit: {part.n_subdomains} subdomain(s), rel_l2={err:.6e}, "

@@ -16,6 +16,8 @@ from .geometry import Box
 
 # chunk rows so the (chunk, M, dim) distance workspace stays under ~64 MB
 _CHUNK_BYTES = 64 * 2**20
+# shepard_eval works in row blocks whose (rows, M) weights take about 8 MB
+_EVAL_BLOCK_BYTES = 8 * 2**20
 
 
 def _as_points(points, dim: int | None = None) -> np.ndarray:
@@ -111,18 +113,25 @@ def shepard_features(points, dictionary: RbfDictionary) -> np.ndarray:
 def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
     """Evaluate sum_m beta_m w_m(x) with w the Shepard weights.
 
-    The result at every point lies in [min(beta), max(beta)].
+    The result at every point lies in [min(beta), max(beta)].  Points are
+    taken in blocks of rows, so memory stays bounded however many there
+    are.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 1 or beta.shape[0] != len(dictionary):
         raise ValueError(
             f"coefficient length {beta.shape} does not match dictionary size {len(dictionary)}"
         )
-    w = _shifted_weights(points, dictionary)
-    denom = w.sum(axis=1)
-    if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
-        raise FloatingPointError("Shepard denominator degenerate")
-    return (w @ beta) / denom
+    pts = _as_points(points, dictionary.dim)
+    out = np.empty(pts.shape[0])
+    rows = max(1, _EVAL_BLOCK_BYTES // (8 * len(dictionary)))
+    for s in range(0, pts.shape[0], rows):
+        w = _shifted_weights(pts[s : s + rows], dictionary)
+        denom = w.sum(axis=1)
+        if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
+            raise FloatingPointError("Shepard denominator degenerate")
+        out[s : s + rows] = (w @ beta) / denom
+    return out
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,8 @@ def test_reports_deterministic_modulo_seconds():
         assert (a.max_residual, a.rel_l2, a.abs_l2, a.objective) == (
             b.max_residual, b.rel_l2, b.abs_l2, b.objective,
         )
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert a.converged and a.iterations >= 1
 
 
 def test_reports_csv_columns(tmp_path):

@@ -82,6 +82,28 @@ def test_fit_invalid_option_is_config_error(tmp_path, small_field, option, value
     assert not (tmp_path / "s.txt").exists()
 
 
+def test_fit_mq_without_offsets_is_config_error(tmp_path, small_field, capsys):
+    # default offsets exist only for m_q = 3, and enrichment needs them
+    rc = main(_fit_args(small_field, tmp_path / "s.txt", **{"--mq": "2", "--mmax": "6"}))
+    assert rc == 2
+    assert "offsets" in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_fit_unconverged_warns_and_succeeds(tmp_path, small_field, capsys):
+    out = tmp_path / "s.txt"
+    rc = main(_fit_args(small_field, out, **{"--px": "2", "--max-iters": "1"}))
+    assert rc == 0 and out.exists()
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert len(warnings) == 1
+    assert "subdomain(s) 0, 1" in warnings[0]
+
+
+def test_fit_converged_prints_no_warning(tmp_path, small_field, capsys):
+    assert main(_fit_args(small_field, tmp_path / "s.txt")) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_fit_missing_field_is_data_error(tmp_path):
     rc = main(_fit_args(tmp_path / "nope.txt", tmp_path / "s.txt"))
     assert rc == 3

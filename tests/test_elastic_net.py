@@ -4,18 +4,23 @@ import pytest
 from fieldfit.adaptive import enrich, mark, residual_indicators
 from fieldfit.elastic_net import (
     ElasticNetConfig,
+    duality_gap,
     fit,
     fit_log_field,
     objective_value,
     soft_threshold,
 )
-from fieldfit.fields import step_field_1d
+from fieldfit.fields import FieldData, box_field_2d, step_field_1d
+from fieldfit.geometry import build_mesh
+from fieldfit.partition import make_partition
 from fieldfit.rbf import LocalSurrogate, centroid_dictionary, shepard_features
 from oracles import elastic_net_objective, prox_gradient_elastic_net
 
 # oracle objective for the fixed 8x8 instance below, computed once with
 # prox_gradient_elastic_net (kkt_tol=1e-12) and frozen
 ORACLE_8X8_OBJECTIVE = 1.3720329345548663
+# the solver settings of the box-field experiments
+BOX_ELASTIC = ElasticNetConfig(lam1=4.59e-4, lam2=1e-4, tol=1e-6, max_iters=4000)
 
 
 def _instance_8x8():
@@ -182,8 +187,8 @@ def test_objective_value_matches_history():
 
 def test_enriched_step_design_is_certified():
     # round 1 of the adaptive 1D step run: the three enriched columns are
-    # almost collinear with their parent, where cyclic coordinate descent
-    # alone never meets its step rule within 100,000 sweeps
+    # almost collinear with their parent, so the Gram matrix is singular to
+    # working precision
     sub = step_field_1d(16).whole()
     d0 = centroid_dictionary(sub.centroids, 0.0019)
     cfg = ElasticNetConfig(lam1=4.59e-4, lam2=4.64e-6)
@@ -229,3 +234,43 @@ def test_duality_gap_bounds_suboptimality():
             excess = elastic_net_objective(W, y, b, lam1, lam2) - p_star
             assert en.duality_gap(W, y, b, cfg) >= excess - 1e-12 > 0
     assert en.duality_gap(W, y, np.zeros(8), ElasticNetConfig()) == np.inf
+
+
+def _kkt_violation(W, y, beta, lam1, lam2):
+    grad = W.T @ (W @ beta - y)
+    return float(np.max(np.where(
+        beta != 0.0,
+        np.abs(grad + lam1 * np.sign(beta) + lam2 * beta),
+        np.maximum(np.abs(grad) - lam1, 0.0),
+    )))
+
+
+def test_box_round0_design_is_certified():
+    # the 1x1 round-0 design of the box experiment: one centroid basis per
+    # cell, 1024 x 1024, certified within the 4000-iteration cap
+    sub = box_field_2d().whole()
+    W = shepard_features(sub.centroids, centroid_dictionary(sub.centroids, 0.031))
+    y = np.log(sub.values)
+    res = fit(W, y, BOX_ELASTIC)
+    assert res.converged
+    assert duality_gap(W, y, res.beta, BOX_ELASTIC) <= 1e-12 * res.objective
+    assert _kkt_violation(W, y, res.beta, BOX_ELASTIC.lam1, BOX_ELASTIC.lam2) <= 1e-10
+    hist = res.objective_history
+    assert len(hist) == res.iterations and np.all(np.diff(hist) <= 0.0)
+
+
+def test_collinear_least_squares_is_certified_and_exact():
+    # a constant field on one 4 x 4 subdomain of an 8 x 8 mesh with wide,
+    # strongly overlapping kernels: plain least squares on a nearly
+    # singular 16 x 16 design
+    mesh = build_mesh(2, (8, 8), ((0, 1), (0, 1)))
+    field = FieldData(mesh=mesh, values=np.full(64, 3.7))
+    sub = make_partition(mesh, 2, 2).subdomain_fields(field)[0]
+    d = centroid_dictionary(sub.centroids, 0.13)
+    W = shepard_features(sub.centroids, d)
+    assert W.shape == (16, 16)
+    res, log_flag = fit_log_field(sub.values, W, ElasticNetConfig())
+    assert res.converged and res.iterations == 1
+    surrogate = LocalSurrogate(dictionary=d, beta=res.beta, log_transform=log_flag)
+    pts = np.random.default_rng(5).uniform(0.0, 0.5, (200, 2))
+    np.testing.assert_allclose(surrogate.evaluate(pts), 3.7, rtol=1e-12)

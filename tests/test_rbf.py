@@ -3,6 +3,7 @@ import pytest
 
 from fieldfit.geometry import Box
 from fieldfit.rbf import (
+    _EVAL_BLOCK_BYTES,
     LocalSurrogate,
     RbfDictionary,
     centroid_dictionary,
@@ -10,6 +11,7 @@ from fieldfit.rbf import (
     shepard_eval,
     shepard_features,
 )
+from oracles import shepard_direct
 
 # the three-basis configuration used for the normalization illustrations
 EXAMPLE3 = RbfDictionary(
@@ -117,6 +119,20 @@ def test_shepard_eval_bounded_by_coefficients():
 def test_shepard_eval_length_mismatch():
     with pytest.raises(ValueError):
         shepard_eval(np.array([[0.5, 0.5]]), EXAMPLE3, [1.0, 2.0])
+
+
+def test_shepard_eval_row_blocks_match_halves_and_direct_sum():
+    rng = np.random.default_rng(11)
+    m = 300
+    d = RbfDictionary(centers=rng.random((m, 2)), widths=rng.uniform(0.03, 0.1, m))
+    beta = rng.standard_normal(m)
+    rows = _EVAL_BLOCK_BYTES // (8 * m)
+    # two full blocks and a partial third; the first half is one block
+    pts = rng.random((2 * rows + 7, 2))
+    whole = shepard_eval(pts, d, beta)
+    halves = np.concatenate([shepard_eval(pts[:rows], d, beta), shepard_eval(pts[rows:], d, beta)])
+    np.testing.assert_array_equal(whole, halves)
+    np.testing.assert_allclose(whole, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=1e-13)
 
 
 def test_partition_of_unity_random_dictionaries():
