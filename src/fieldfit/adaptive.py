@@ -186,25 +186,17 @@ def enrich(
     offsets = np.asarray(offsets, dtype=float)[:m_q]
     scale = np.asarray(sub.cell_size, dtype=float)
 
-    new_centers: list[np.ndarray] = []
-    new_widths: list[float] = []
-    for cell in marked:
-        x_t = sub.centroids[cell]
-        parent = _nearest_entry(dictionary, x_t)
-        width = eta * float(dictionary.widths[parent])
-        for off in offsets:
-            cand = sub.box.clamp(x_t + off * scale)
-            same_center = np.all(
-                np.abs(dictionary.centers - cand[None, :]) <= DUPLICATE_TOL, axis=1
-            )
-            same_width = np.abs(dictionary.widths - width) <= DUPLICATE_TOL
-            if np.any(same_center & same_width):
-                continue
-            new_centers.append(cand)
-            new_widths.append(width)
-    if not new_centers:
-        return np.empty((0, dim)), np.empty(0)
-    return np.asarray(new_centers), np.asarray(new_widths)
+    cells = sub.centroids[marked]
+    widths = eta * dictionary.widths[[_nearest_entry(dictionary, x_t) for x_t in cells]]
+    # candidates in marked-cell order, offsets within a cell in order
+    centers = sub.box.clamp(cells[:, None, :] + offsets[None, :, :] * scale).reshape(-1, dim)
+    widths = np.repeat(widths, offsets.shape[0])
+    # compared with the existing entries only, never within the batch
+    same = np.abs(widths[:, None] - dictionary.widths[None, :]) <= DUPLICATE_TOL
+    for k in range(dim):
+        same &= np.abs(centers[:, k, None] - dictionary.centers[None, :, k]) <= DUPLICATE_TOL
+    fresh = ~np.any(same, axis=1)
+    return centers[fresh], widths[fresh]
 
 
 def fit_adaptive(

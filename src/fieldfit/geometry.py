@@ -8,6 +8,7 @@ shared by two boxes belongs to exactly one of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,12 +75,14 @@ class Mesh:
             raise ValueError("counts/bounds do not match dim")
         if any(n < 1 for n in self.counts):
             raise ValueError(f"cell counts must be >= 1, got {self.counts}")
+        if not all(math.isfinite(v) for b in self.bounds for v in b):
+            raise ValueError(f"bounds must be finite: {self.bounds}")
         if any(b[0] >= b[1] for b in self.bounds):
             raise ValueError(f"inverted or degenerate bounds: {self.bounds}")
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     @property
     def cell_size(self) -> tuple[float, ...]:

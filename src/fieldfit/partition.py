@@ -11,9 +11,11 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import io
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +45,26 @@ class Partition:
     mesh: Mesh
     shape: tuple[int, ...]
     boxes: tuple[Box, ...]
-    cell_to_subdomain: np.ndarray
 
     @property
     def n_subdomains(self) -> int:
         return len(self.boxes)
+
+    @cached_property
+    def cell_to_subdomain(self) -> np.ndarray:
+        """Owning subdomain of every cell, by integer index arithmetic.
+
+        Built on first use, so loading a surrogate allocates nothing per
+        cell of its mesh.
+        """
+        mesh = self.mesh
+        cells_per = [n // p for n, p in zip(mesh.counts, self.shape)]
+        cell_idx = np.arange(mesh.n_cells)
+        sx = (cell_idx % mesh.counts[0]) // cells_per[0]
+        if mesh.dim == 1:
+            return sx
+        sy = (cell_idx // mesh.counts[0]) // cells_per[1]
+        return sy * self.shape[0] + sx
 
     def subdomain_fields(self, data: FieldData) -> list[SubdomainField]:
         return [data.subdomain(b) for b in self.boxes]
@@ -91,17 +108,7 @@ def make_partition(mesh: Mesh, px: int, py: int = 1) -> Partition:
                     )
                 )
 
-    # integer index arithmetic keeps every cell in exactly one subdomain
-    cells_per = [n // p for n, p in zip(mesh.counts, shape)]
-    nx = mesh.counts[0]
-    cell_idx = np.arange(mesh.n_cells)
-    sx = (cell_idx % nx) // cells_per[0]
-    if mesh.dim == 1:
-        owner = sx
-    else:
-        sy = (cell_idx // nx) // cells_per[1]
-        owner = sy * shape[0] + sx
-    return Partition(mesh=mesh, shape=shape, boxes=tuple(boxes), cell_to_subdomain=owner)
+    return Partition(mesh=mesh, shape=shape, boxes=tuple(boxes))
 
 
 @dataclass(frozen=True)
@@ -215,6 +222,24 @@ def _one_blas_thread():
             set_(n)
 
 
+def _release_free_heap():
+    """Return the C heap's free pages to the system (glibc's ``malloc_trim``).
+
+    Pool workers are forked, and a forked worker starts with the resident
+    pages of its parent.  After an evaluation or a Darcy solve the parent's
+    heap can hold tens of MB of freed blocks, which every worker would then
+    carry: in the box benchmark the workers of the second fit started at
+    93 MB of anonymous memory instead of 49 MB.  Where the C library has no
+    ``malloc_trim`` this does nothing.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def _fit_one(args):
     index, sub, spec, cfg = args
     t0 = time.perf_counter()
@@ -257,6 +282,7 @@ def fit_parallel(
         used = 1
     else:
         used = min(workers, n)
+        _release_free_heap()
         with ProcessPoolExecutor(max_workers=used) as pool:
             results = list(pool.map(_fit_one, tasks))
     total = time.perf_counter() - t0
@@ -344,6 +370,12 @@ def _parse_surrogate(lines) -> GlobalSurrogate:
     grid = tuple(int(v) for v in _expect(next_line(), "grid"))
     if len(grid) != dim:
         raise ValueError(f"grid has {len(grid)} entries for dim {dim}")
+    # every subdomain takes a line, so a grid larger than the file is cut off
+    if math.prod(grid) > len(lines) - pos:
+        raise DataError(
+            f"surrogate file truncated: grid {grid} declares more subdomains "
+            f"than the {len(lines) - pos} lines that follow"
+        )
 
     metadata = {}
     line = next_line()
@@ -364,6 +396,11 @@ def _parse_surrogate(lines) -> GlobalSurrogate:
             log_flag = bool(int(toks[5]))
         except (ValueError, IndexError) as exc:
             raise DataError(f"malformed subdomain header: {exc}") from exc
+        if n_entries > len(lines) - pos:
+            raise DataError(
+                f"surrogate file truncated: subdomain {i} declares {n_entries} entries "
+                f"but {len(lines) - pos} lines follow"
+            )
         centers = np.empty((n_entries, dim))
         widths = np.empty(n_entries)
         beta = np.empty(n_entries)

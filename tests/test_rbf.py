@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fieldfit.geometry import Box
+from fieldfit import rbf
+from fieldfit.geometry import Box, build_mesh
+from fieldfit.partition import GlobalSurrogate, make_partition
 from fieldfit.rbf import (
     _EVAL_BLOCK_BYTES,
     LocalSurrogate,
@@ -133,6 +137,108 @@ def test_shepard_eval_row_blocks_match_halves_and_direct_sum():
     halves = np.concatenate([shepard_eval(pts[:rows], d, beta), shepard_eval(pts[rows:], d, beta)])
     np.testing.assert_array_equal(whole, halves)
     np.testing.assert_allclose(whole, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=1e-13)
+
+
+def _mixed_width_dictionary(rng, m, dim, lo=0.0, hi=1.0):
+    """m random centres in [lo, hi]^dim with widths over two decades."""
+    return RbfDictionary(
+        centers=lo + (hi - lo) * rng.random((m, dim)),
+        widths=(hi - lo) * 10.0 ** rng.uniform(-3.0, -1.0, m),
+    )
+
+
+def _layout(points, d):
+    """(tiles, most row blocks in one tile) of shepard_eval on these points."""
+    order, starts, lo, hi = rbf._tiles(np.asarray(points, dtype=float), d)
+    kept = rbf._kept_centres(lo, hi, d.centers, -1.0 / (2.0 * d.widths**2)).sum(axis=1)
+    rows = np.maximum(1, _EVAL_BLOCK_BYTES // (8 * kept))
+    return starts.shape[0] - 1, int(np.max(-(-np.diff(starts) // rows)))
+
+
+@pytest.mark.parametrize("dim, m, n", [(1, 250, 6000), (2, 600, 20000)])
+def test_shepard_eval_is_pointwise(dim, m, n):
+    rng = np.random.default_rng(17 + dim)
+    d = _mixed_width_dictionary(rng, m, dim)
+    beta = rng.standard_normal(m)
+    pts = rng.uniform(-0.2, 1.2, (n, dim))
+    tiles, blocks = _layout(pts, d)
+    assert tiles >= 4 and blocks >= 2
+    batch = shepard_eval(pts, d, beta)
+    for j in rng.choice(n, 60, replace=False):
+        np.testing.assert_array_equal(shepard_eval(pts[j : j + 1], d, beta), batch[j : j + 1])
+    np.testing.assert_array_equal(shepard_eval(pts[::-1], d, beta), batch[::-1])
+
+
+def test_global_surrogate_evaluate_is_pointwise():
+    rng = np.random.default_rng(23)
+    part = make_partition(build_mesh(2, (8, 8), ((0.0, 1.0), (0.0, 1.0))), 2, 2)
+    locals_ = tuple(
+        LocalSurrogate(
+            dictionary=_mixed_width_dictionary(rng, 300, 2, box.lo[0], box.hi[0]).extended(
+                box.lo[0] + 0.5 * rng.random((100, 2)), np.full(100, 0.01), generation=1
+            ),
+            beta=rng.standard_normal(400),
+        )
+        for box in part.boxes
+    )
+    sur = GlobalSurrogate(partition=part, locals=locals_)
+    pts = rng.random((20000, 2))
+    batch = sur.evaluate(pts)
+    for j in rng.choice(pts.shape[0], 60, replace=False):
+        np.testing.assert_array_equal(sur.evaluate(pts[j]), batch[j : j + 1])
+
+
+@st.composite
+def dictionaries(draw):
+    """Random dictionaries: 1-400 centres, dim 1 or 2, widths over 2 decades."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, dim = draw(st.integers(1, 400)), draw(st.sampled_from([1, 2]))
+    scale = 10.0 ** draw(st.floats(-3.0, 1.0))
+    sigma_min = scale * 10.0 ** draw(st.floats(-3.0, -1.0))
+    d = RbfDictionary(
+        centers=scale * rng.random((m, dim)) + draw(st.floats(-10.0, 10.0)),
+        widths=sigma_min * 10.0 ** rng.uniform(0.0, 2.0, m),
+    )
+    return d, rng.standard_normal(m), rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dictionaries())
+def test_pruned_eval_matches_direct_sum(case):
+    d, beta, rng = case
+    grow = 10.0 * d.widths.max()
+    lo, hi = d.centers.min(axis=0) - grow, d.centers.max(axis=0) + grow
+    pts = lo + (hi - lo) * rng.random((500, d.dim))
+    got = shepard_eval(pts, d, beta)
+    np.testing.assert_allclose(got, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dictionaries())
+def test_pruned_eval_far_away_stays_bounded(case):
+    d, beta, rng = case
+    # 40 widths beyond the centres' box every raw Gaussian underflows
+    reach = 40.0 * d.widths.max() + (d.centers.max(axis=0) - d.centers.min(axis=0)).max()
+    direction = rng.standard_normal((200, d.dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    pts = d.centers.mean(axis=0) + direction * reach * 10.0 ** rng.uniform(0.0, 3.0, (200, 1))
+    assert np.all(_raw(pts, d) == 0.0)
+    got = shepard_eval(pts, d, beta)
+    slack = 1e-14 * np.abs(beta).max()
+    assert np.all(np.isfinite(got))
+    assert np.all(got >= beta.min() - slack) and np.all(got <= beta.max() + slack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shepard_eval_rejects_non_finite_points(bad):
+    pts = np.array([[0.5, 0.5], [0.2, bad]])
+    with pytest.raises(FloatingPointError):
+        shepard_eval(pts, EXAMPLE3, [1.0, 2.0, 3.0])
+
+
+def test_shepard_eval_empty_batch():
+    out = shepard_eval(np.empty((0, 2)), EXAMPLE3, [1.0, 2.0, 3.0])
+    assert out.shape == (0,)
 
 
 def test_partition_of_unity_random_dictionaries():
