@@ -20,7 +20,6 @@ from .darcy import (
     LineMesh,
     PressureSolution,
     Triangulation,
-    field_rel_error,
     line_mesh,
     pressure_rel_error,
     solve_darcy,
@@ -37,7 +36,7 @@ from .fields import (
     smooth_field_2d,
     step_field_1d,
 )
-from .geometry import Box, Mesh, build_mesh, cell_quadrature, locate_many
+from .geometry import Box, Mesh, build_mesh, locate_many
 from .io import read_field, read_spe10, write_field, write_grid_csv
 from .partition import (
     DictionarySpec,

@@ -1,14 +1,17 @@
 """Residual-driven fit/mark/enrich loop on a single subdomain.
 
-Each round fits the log-data by Elastic Net on Shepard-normalized features,
-scores every cell with a quadrature residual indicator, marks the worst
-cells, and inserts narrower bases near their centroids.  The loop stops on a
-residual tolerance, a budget of added bases, an empty mark or enrichment
-step, or a round cap.
+Each round fits the log-data by Elastic Net on Shepard-normalized features
+at the cell centroids, scores every cell by the midpoint-rule residual of
+the fit at its centroid, marks the worst cells, and inserts narrower bases
+near their centroids.  The fit points are the centroids, so a round reads
+the reconstruction there off its own design, exp(W beta), without
+evaluating the surrogate.  The loop stops on a residual tolerance, a budget
+of added bases, an empty mark or enrichment step, or a round cap.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +19,6 @@ import numpy as np
 
 from .elastic_net import ElasticNetConfig, fit_log_field
 from .fields import SubdomainField, l2_misfit_parts
-from .geometry import cell_quadrature
 from .io import _write_text
 from .rbf import LocalSurrogate, RbfDictionary, shepard_features
 
@@ -48,7 +50,6 @@ class AdaptiveConfig:
     max_rounds: int = 50
     elastic: ElasticNetConfig = field(default_factory=ElasticNetConfig)
     offsets: tuple[tuple[float, ...], ...] | None = None
-    quad_order: int = 1
 
     def __post_init__(self):
         if self.k_top < 1:
@@ -59,14 +60,18 @@ class AdaptiveConfig:
             raise ValueError(f"m_q must be >= 1, got {self.m_q}")
         if self.m_max < 0:
             raise ValueError(f"m_max must be >= 0, got {self.m_max}")
-        if self.eps_tol < 0:
-            raise ValueError(f"eps_tol must be >= 0, got {self.eps_tol}")
+        if not 0 <= self.eps_tol < math.inf:
+            raise ValueError(f"eps_tol must be finite and >= 0, got {self.eps_tol}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.offsets is not None and len(self.offsets) != self.m_q:
             raise ValueError(
                 f"offsets has {len(self.offsets)} entries but m_q={self.m_q}"
             )
+        if self.offsets is not None and not all(
+            math.isfinite(v) for offset in self.offsets for v in offset
+        ):
+            raise ValueError(f"offsets must be finite, got {self.offsets}")
 
     def offsets_for_dim(self, dim: int) -> tuple[tuple[float, ...], ...]:
         if self.offsets is not None:
@@ -83,10 +88,12 @@ class RoundReport:
     ``centers`` is the dictionary size used by this round's fit and
     ``added`` the number of bases appended before it, so both the
     total-count and added-count readings of a refinement history are
-    available.  ``rel_l2``/``abs_l2`` are the quadrature misfits against the
-    cell data.  ``iterations`` and ``converged`` are the Elastic Net
-    solver's (see :class:`~fieldfit.elastic_net.FitResult`).  ``seconds`` is
-    wall time and is the only non-reproducible field.
+    available.  ``max_residual`` is the largest cell residual and
+    ``rel_l2``/``abs_l2`` are the midpoint-rule misfits against the cell
+    data, all taken from the fitted expansion at the centroids.
+    ``iterations`` and ``converged`` are the Elastic Net solver's (see
+    :class:`~fieldfit.elastic_net.FitResult`).  ``seconds`` is wall time and
+    is the only non-reproducible field.
     """
 
     round: int
@@ -122,17 +129,15 @@ def reports_to_csv(reports, sink, provenance: str | None = None) -> None:
     _write_text(sink, "\n".join(lines) + "\n")
 
 
-def residual_indicators(surrogate, sub: SubdomainField, order: int = 1) -> np.ndarray:
-    """Quadrature residual sum_l w_l (K*(x_l) - K_T)^2 of every cell.
+def residual_indicators(approx, sub: SubdomainField) -> np.ndarray:
+    """Midpoint-rule residual |T| (K*(x_T) - K_T)^2 of every cell.
 
-    The surrogate is compared after any log-transform is undone, i.e. in
-    field units, so a cell's indicator vanishes exactly when the
-    reconstruction matches its value at every quadrature point.
+    ``approx`` holds the reconstruction K* at the cell centroids x_T in
+    field units, i.e. after any log-transform is undone, so a cell's
+    indicator vanishes exactly when the reconstruction matches its value
+    at the centroid.
     """
-    pts, wts = cell_quadrature(sub.centroids, sub.cell_size, order)
-    n, n_q, dim = pts.shape
-    vals = np.asarray(surrogate.evaluate(pts.reshape(-1, dim)), dtype=float).reshape(n, n_q)
-    return ((vals - sub.values[:, None]) ** 2) @ wts
+    return sub.cell_measure * (np.asarray(approx, dtype=float) - sub.values) ** 2
 
 
 def mark(indicators, k_top: int) -> np.ndarray:
@@ -219,12 +224,14 @@ def fit_adaptive(
     for rnd in range(config.max_rounds):
         t0 = time.perf_counter()
         W = shepard_features(sub.centroids, dictionary)
-        result, log_flag = fit_log_field(sub.values, W, config.elastic, beta0=beta)
+        result = fit_log_field(sub.values, W, config.elastic, beta0=beta)
         beta = result.beta
-        surrogate = LocalSurrogate(dictionary=dictionary, beta=beta, log_transform=log_flag)
+        surrogate = LocalSurrogate(dictionary=dictionary, beta=beta, log_transform=True)
 
-        residuals = residual_indicators(surrogate, sub, config.quad_order)
-        num, den = l2_misfit_parts(sub, surrogate.evaluate, config.quad_order)
+        # the fit points are the centroids, so W beta is the fitted log-field there
+        approx = np.exp(W @ beta)
+        residuals = residual_indicators(approx, sub)
+        num, den = l2_misfit_parts(sub, approx)
         reports.append(
             RoundReport(
                 round=rnd,

@@ -22,7 +22,6 @@ from . import io as fio
 from .adaptive import REPORT_CSV_COLUMNS, AdaptiveConfig, report_csv_row
 from .darcy import (
     DarcyProblem,
-    field_rel_error,
     pressure_rel_error,
     solve_darcy,
     triangulate,
@@ -30,7 +29,7 @@ from .darcy import (
 )
 from .elastic_net import ElasticNetConfig
 from .errors import ConfigError, DataError, FieldfitError, NumericalError
-from .fields import FieldData, box_field_2d, step_field_1d
+from .fields import FieldData, box_field_2d, relative_l2_error, step_field_1d
 from .geometry import build_mesh
 from .partition import DictionarySpec, fit_parallel, load, make_partition, save
 
@@ -78,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mmax", type=int, default=0, help="maximum added bases")
     f.add_argument("--eps-tol", type=float, default=0.0, help="residual stopping tolerance")
     f.add_argument("--max-rounds", type=int, default=50)
-    f.add_argument("--quad-order", type=int, default=1, choices=(1, 2))
     f.add_argument("--offsets", help="new-center offsets in cell units, e.g. '0,0;-0.25,0;0.25,0'")
     f.add_argument(
         "--tol", type=float, default=1e-10,
@@ -189,7 +187,6 @@ def _fit_setup(args, mesh):
                     lam1=lam1[i], lam2=lam2[i], tol=args.tol, max_iters=args.max_iters
                 ),
                 offsets=offsets,
-                quad_order=args.quad_order,
             )
             for i in range(n_sub)
         ]
@@ -222,7 +219,7 @@ def cmd_fit(args) -> int:
             "is not certified optimal",
             file=sys.stderr,
         )
-    err = field_rel_error(data, surrogate, order=args.quad_order)
+    err = relative_l2_error(data.whole(), surrogate.evaluate)
     print(
         f"fit: {part.n_subdomains} subdomain(s), rel_l2={err:.6e}, "
         f"wall={report.total_seconds:.2f}s"
@@ -250,7 +247,10 @@ def cmd_eval(args) -> int:
         bounds = [v for b in mesh.bounds for v in b]
     if mesh.dim == 2 and args.ny is None:
         raise ConfigError("--ny is required for 2-D surrogates")
-    pts = _grid_points(args.nx, args.ny, bounds, mesh.dim)
+    try:
+        pts = _grid_points(args.nx, args.ny, bounds, mesh.dim)
+    except ValueError as exc:
+        raise ConfigError(f"bad evaluation grid: {exc}") from exc
     try:
         values = surrogate.evaluate(pts)
     except ValueError as exc:
@@ -277,8 +277,16 @@ def cmd_darcy(args) -> int:
     mesh0 = ref.mesh if isinstance(ref, FieldData) else ref
     if mesh0.dim != 2:
         raise ConfigError("the darcy command supports 2-D fields only")
-    nx = args.nx or mesh0.counts[0]
-    ny = args.ny or mesh0.counts[1]
+    nx = mesh0.counts[0] if args.nx is None else args.nx
+    ny = mesh0.counts[1] if args.ny is None else args.ny
+    sizes = []
+    if args.sweep:
+        try:
+            sizes = [int(t) for t in args.sweep.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse sweep {args.sweep!r}") from exc
+    if min(nx, ny, *sizes) < 1:
+        raise ConfigError(f"mesh sizes must be >= 1: --nx={nx} --ny={ny} --sweep={sizes}")
     bounds = mesh0.bounds
     dirichlet = _bc_preset(args.preset)
 
@@ -289,11 +297,7 @@ def cmd_darcy(args) -> int:
 
     lines = [f"# {_provenance(args)}"]
     solution = None
-    if args.sweep:
-        try:
-            sizes = [int(t) for t in args.sweep.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse sweep {args.sweep!r}") from exc
+    if sizes:
         coeff = surrogate.evaluate if surrogate else data.piecewise_eval
         ref_coeff = data.piecewise_eval if data is not None else coeff
         aspect = ny / nx
@@ -341,7 +345,10 @@ def cmd_verify_theory(args) -> int:
         sigmas = [float(t) for t in args.sigma_values.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse parameter grid: {exc}") from exc
-    rows = error_grid(cs, sigmas, b=args.b)
+    try:
+        rows = error_grid(cs, sigmas, b=args.b)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     lines = [f"# {_provenance(args)}", "c,sigma,b,numeric,analytic,rel_diff"]
     lines.extend(",".join(f"{v:.17g}" for v in row) for row in rows)
     fio._write_text(args.out, "\n".join(lines) + "\n")

@@ -18,7 +18,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .fields import FieldData, relative_l2_error
 from .io import _write_text
 
 FACES_2D = ("left", "right", "bottom", "top")
@@ -411,12 +410,6 @@ def pressure_rel_error(p_ref: PressureSolution, p_test: PressureSolution) -> flo
     if den == 0.0:
         raise ValueError("reference pressure has zero norm")
     return float(np.sqrt(num / den))
-
-
-def field_rel_error(data: FieldData, surrogate, order: int = 1) -> float:
-    """Relative L2 error of a continuous reconstruction against cell data."""
-    evaluate = surrogate.evaluate if hasattr(surrogate, "evaluate") else surrogate
-    return relative_l2_error(data.whole(), evaluate, order=order)
 
 
 def write_pressure_text(solution: PressureSolution, sink) -> None:

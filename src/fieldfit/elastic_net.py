@@ -13,6 +13,7 @@ objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +44,12 @@ class ElasticNetConfig:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if self.lam1 < 0 or self.lam2 < 0:
-            raise ValueError(f"penalties must be nonnegative: lam1={self.lam1} lam2={self.lam2}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (0 <= self.lam1 < math.inf and 0 <= self.lam2 < math.inf):
+            raise ValueError(
+                f"penalties must be finite and nonnegative: lam1={self.lam1} lam2={self.lam2}"
+            )
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -270,15 +273,15 @@ def _gap(W, y, beta, theta, config: ElasticNetConfig) -> float:
     return primal - dual
 
 
-def fit_log_field(values, W, config: ElasticNetConfig, beta0=None) -> tuple[FitResult, bool]:
-    """Fit against log(values); the returned flag records that evaluation
-    of the fitted expansion must exponentiate to recover the field."""
+def fit_log_field(values, W, config: ElasticNetConfig, beta0=None) -> FitResult:
+    """Fit against log(values); the fitted expansion is exponentiated to
+    recover the field."""
     v = np.asarray(values, dtype=float).ravel()
     bad = ~(v > 0)
     if np.any(bad):
         j = int(np.argmax(bad))
         raise ValueError(f"field value at cell {j} is not positive: {v[j]}")
-    return fit(W, np.log(v), config, beta0=beta0), True
+    return fit(W, np.log(v), config, beta0=beta0)
 
 
 def _objective(r: np.ndarray, beta: np.ndarray, config: ElasticNetConfig) -> float:

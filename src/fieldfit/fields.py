@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, Mesh, build_mesh, cell_quadrature
+from .geometry import Box, Mesh, build_mesh
 
 
 @dataclass(frozen=True)
@@ -90,25 +90,29 @@ class SubdomainField:
     def n_cells(self) -> int:
         return self.values.shape[0]
 
+    @property
+    def cell_measure(self) -> float:
+        return float(np.prod(self.cell_size))
 
-def relative_l2_error(sub: SubdomainField, evaluate, order: int = 1) -> float:
+
+def relative_l2_error(sub: SubdomainField, evaluate) -> float:
     """Relative L2 misfit between cell data and a continuous evaluator.
 
-    Numerator and denominator are both computed by cellwise quadrature:
-    sqrt(sum_T int (K_T - K*(x))^2) / sqrt(sum_T int K_T^2).
+    Both norms use the midpoint rule on every cell:
+    sqrt(sum_T |T| (K*(x_T) - K_T)^2) / sqrt(sum_T |T| K_T^2).
     """
-    num, den = l2_misfit_parts(sub, evaluate, order)
+    num, den = l2_misfit_parts(sub, evaluate(sub.centroids))
     return float(np.sqrt(num / den))
 
 
-def l2_misfit_parts(sub: SubdomainField, evaluate, order: int):
-    """Squared misfit and squared data norm, both by cellwise quadrature."""
-    pts, wts = cell_quadrature(sub.centroids, sub.cell_size, order)
-    n, n_q, dim = pts.shape
-    approx = np.asarray(evaluate(pts.reshape(-1, dim)), dtype=float).reshape(n, n_q)
-    diff2 = (approx - sub.values[:, None]) ** 2
-    num = float(np.sum(diff2 @ wts))
-    den = float(np.sum(wts) * np.sum(sub.values**2))
+def l2_misfit_parts(sub: SubdomainField, approx):
+    """Squared misfit and squared data norm, both by the midpoint rule.
+
+    ``approx`` holds the reconstruction at the cell centroids.
+    """
+    diff2 = (np.asarray(approx, dtype=float) - sub.values) ** 2
+    num = float(np.sum(sub.cell_measure * diff2))
+    den = float(sub.cell_measure * np.sum(sub.values**2))
     return num, den
 
 

@@ -1,4 +1,4 @@
-"""Structured 1D/2D cell meshes, cellwise quadrature, and half-open boxes.
+"""Structured 1D/2D cell meshes and half-open boxes.
 
 Cells are congruent axis-aligned intervals (1D) or rectangles (2D), indexed
 row-major with the x index fastest: ``index = iy * nx + ix``.  Boxes carry a
@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-# 2-point Gauss-Legendre nodes on the reference interval [0, 1]
-_GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 
 @dataclass(frozen=True)
@@ -139,31 +136,6 @@ def build_mesh(dim: int, counts, bounds) -> Mesh:
             raise ValueError(f"cannot interpret bounds {bounds} for dim={dim}")
     bounds_t = tuple((float(lo), float(hi)) for lo, hi in b)
     return Mesh(dim=dim, counts=counts, bounds=bounds_t)
-
-
-def cell_quadrature(centroids: np.ndarray, cell_size, order: int):
-    """Tensor-product quadrature points for many congruent cells at once.
-
-    Order 1 is the midpoint rule (one point), order 2 the tensor 2-point
-    Gauss rule; order k is exact for polynomials of degree <= 2k - 1 per
-    axis.  Returns (points, weights) with points of shape (n_cells, n_q, dim) and
-    weights of shape (n_q,); the same weights apply to every cell.
-    """
-    c = np.asarray(centroids, dtype=float)
-    size = np.atleast_1d(np.asarray(cell_size, dtype=float))
-    dim = c.shape[1]
-    measure = float(np.prod(size))
-    if order == 1:
-        offs = np.zeros((1, dim))
-    elif order == 2:
-        g = np.array(_GAUSS2) - 0.5
-        grids = np.meshgrid(*[g * size[k] for k in range(dim)], indexing="ij")
-        offs = np.stack([gr.ravel() for gr in grids], axis=1)
-    else:
-        raise ValueError(f"unsupported quadrature order {order} (use 1 or 2)")
-    pts = c[:, None, :] + offs[None, :, :]
-    wts = np.full(offs.shape[0], measure / offs.shape[0])
-    return pts, wts
 
 
 def locate_many(points: np.ndarray, boxes) -> np.ndarray:

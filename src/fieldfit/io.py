@@ -36,9 +36,12 @@ def _write_text(sink, text: str) -> None:
     """Write text to an open file-like sink or to a path."""
     if hasattr(sink, "write"):
         sink.write(text)
-    else:
+        return
+    try:
         with open(sink, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {sink}: {exc}") from exc
 
 
 def read_field(source) -> FieldData:

@@ -15,7 +15,6 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -49,22 +48,6 @@ class Partition:
     @property
     def n_subdomains(self) -> int:
         return len(self.boxes)
-
-    @cached_property
-    def cell_to_subdomain(self) -> np.ndarray:
-        """Owning subdomain of every cell, by integer index arithmetic.
-
-        Built on first use, so loading a surrogate allocates nothing per
-        cell of its mesh.
-        """
-        mesh = self.mesh
-        cells_per = [n // p for n, p in zip(mesh.counts, self.shape)]
-        cell_idx = np.arange(mesh.n_cells)
-        sx = (cell_idx % mesh.counts[0]) // cells_per[0]
-        if mesh.dim == 1:
-            return sx
-        sy = (cell_idx // mesh.counts[0]) // cells_per[1]
-        return sy * self.shape[0] + sx
 
     def subdomain_fields(self, data: FieldData) -> list[SubdomainField]:
         return [data.subdomain(b) for b in self.boxes]
@@ -119,8 +102,8 @@ class DictionarySpec:
     lattice: int | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.lattice is not None and self.lattice < 1:
             raise ValueError(f"lattice resolution must be >= 1, got {self.lattice}")
 

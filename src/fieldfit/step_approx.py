@@ -9,6 +9,7 @@ quadrature check of the error law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class StepInterfaceSpec:
         v = np.atleast_1d(np.asarray(self.v, dtype=float)).copy()
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError(f"normal must be a unit vector, got |v|={np.linalg.norm(v)}")
+        if not all(math.isfinite(t) for t in (self.b, self.c, self.sigma)):
+            raise ValueError(f"b, c and sigma must be finite: {self.b}, {self.c}, {self.sigma}")
         if self.c + self.b <= 0:
             raise ValueError(f"c + b must be positive, got {self.c + self.b}")
         if self.sigma <= 0:

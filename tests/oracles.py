@@ -96,24 +96,3 @@ def shepard_direct(points, centers, widths, beta):
         num += b * w
         den += w
     return num / den
-
-
-def cellwise_residual(evaluate, centroid, cell_size, value, order):
-    """Brute-force quadrature of (K*(x) - K_T)^2 on one cell."""
-    centroid = np.atleast_1d(np.asarray(centroid, dtype=float))
-    cell_size = np.atleast_1d(np.asarray(cell_size, dtype=float))
-    dim = centroid.size
-    measure = float(np.prod(cell_size))
-    if order == 1:
-        pts = centroid[None, :]
-        wts = np.array([measure])
-    elif order == 2:
-        offs = np.array([-0.5 / np.sqrt(3.0), 0.5 / np.sqrt(3.0)])
-        axes = [centroid[k] + offs * cell_size[k] for k in range(dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wts = np.full(pts.shape[0], measure / pts.shape[0])
-    else:
-        raise ValueError(f"unsupported order {order}")
-    vals = np.asarray(evaluate(pts), dtype=float)
-    return float(np.sum(wts * (vals - value) ** 2))

@@ -17,7 +17,6 @@ from fieldfit.adaptive import AdaptiveConfig
 from fieldfit.darcy import (
     DarcyProblem,
     PressureSolution,
-    field_rel_error,
     pressure_rel_error,
     solve_darcy,
     triangulate,
@@ -59,7 +58,7 @@ def step_runs():
         W = shepard_features(sub.centroids, d)
         res = fit(W, sub.values, ElasticNetConfig(**STEP_LAMBDAS))
         sur = LocalSurrogate(dictionary=d, beta=res.beta, log_transform=False)
-        uniform_errors[m] = ff.relative_l2_error(sub, sur.evaluate, order=1)
+        uniform_errors[m] = ff.relative_l2_error(sub, sur.evaluate)
 
     field = ff.step_field_1d(16)
     part = make_partition(field.mesh, 1)
@@ -212,8 +211,8 @@ def test_criterion_5_enrichment_arithmetic(box_adaptive_run):
 
 def test_criterion_6_parallel_decomposition(parallel_runs):
     field, base, s_w1, s_w4, t_base, t_w1, t_w4 = parallel_runs
-    e_base = field_rel_error(field, base)
-    e_quad = field_rel_error(field, s_w4)
+    e_base = ff.relative_l2_error(field.whole(), base.evaluate)
+    e_quad = ff.relative_l2_error(field.whole(), s_w4.evaluate)
     assert e_quad <= 2.0 * e_base, f"2x2 error {e_quad:.3e} vs baseline {e_base:.3e}"
 
     assert dumps(s_w1) == dumps(s_w4), "worker count changed the surrogate"

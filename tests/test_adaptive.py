@@ -11,6 +11,7 @@ from fieldfit.adaptive import (
 )
 from fieldfit.elastic_net import ElasticNetConfig
 from fieldfit.fields import box_field_2d, step_field_1d
+from fieldfit.partition import make_partition
 from fieldfit.rbf import LocalSurrogate, RbfDictionary, centroid_dictionary, shepard_features
 
 STEP_ELASTIC = ElasticNetConfig(lam1=4.59e-4, lam2=4.64e-6)
@@ -26,7 +27,8 @@ def test_residual_zero_on_exact_fit():
     field = step_field_1d(4)
     sur = _constant_surrogate(1e-1)
     cell = 3  # right plateau
-    assert residual_indicators(sur, field.whole(), order=1)[cell] == 0.0
+    sub = field.whole()
+    assert residual_indicators(sur.evaluate(sub.centroids), sub)[cell] == 0.0
 
 
 def test_residual_constant_mismatch_midpoint():
@@ -36,7 +38,8 @@ def test_residual_constant_mismatch_midpoint():
     cell = 5
     area = field.mesh.cell_measure
     d = 0.5 - field.values[cell]
-    got = residual_indicators(sur, field.whole(), order=1)[cell]
+    sub = field.whole()
+    got = residual_indicators(sur.evaluate(sub.centroids), sub)[cell]
     assert got == pytest.approx(area * d * d, rel=1e-12)
 
 
@@ -53,7 +56,7 @@ def test_step_residuals_peak_at_jump():
     W = shepard_features(sub.centroids, d)
     res = fit(W, sub.values, STEP_ELASTIC)
     sur = LocalSurrogate(dictionary=d, beta=res.beta, log_transform=False)
-    r = residual_indicators(sur, sub, order=1)
+    r = residual_indicators(sur.evaluate(sub.centroids), sub)
     # midpoint rule per cell: |T| (K*(centroid) - K_T)^2
     brute = field.mesh.cell_measure * (sur.evaluate(field.mesh.centroids) - field.values) ** 2
     np.testing.assert_allclose(r, brute, rtol=1e-12)
@@ -225,3 +228,37 @@ def test_box_field_error_decreasing_three_rounds():
     errs = [r.rel_l2 for r in reports]
     assert len(errs) == 3
     assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+def _step_run():
+    sub = step_field_1d(16).whole()
+    cfg = AdaptiveConfig(k_top=1, m_max=6, eta=0.5, m_q=3, elastic=STEP_ELASTIC, max_rounds=10)
+    return sub, cfg, centroid_dictionary(sub.centroids, 0.0019)
+
+
+def _box_subdomain_run():
+    field = box_field_2d()
+    sub = make_partition(field.mesh, 2, 2).subdomain_fields(field)[0]
+    cfg = AdaptiveConfig(
+        k_top=51, m_max=306, eta=0.5, m_q=3, max_rounds=3,
+        elastic=ElasticNetConfig(lam1=4.59e-4, lam2=1e-4, tol=1e-6, max_iters=4000),
+        offsets=((0.0, 0.0), (-0.25, 0.0), (0.25, 0.0)),
+    )
+    return sub, cfg, centroid_dictionary(sub.centroids, 0.031)
+
+
+@pytest.mark.parametrize("run", [_step_run, _box_subdomain_run], ids=["step1d", "box-sub0"])
+def test_report_matches_surrogate_evaluation(run):
+    # the loop scores rounds from exp(W beta) on its own design; evaluating
+    # the returned surrogate at the centroids must give the same figures
+    sub, cfg, d0 = run()
+    sur, reports = fit_adaptive(sub, d0, cfg)
+    assert reports[-1].added > 0
+    approx = sur.evaluate(sub.centroids)
+    measure = float(np.prod(sub.cell_size))
+    residuals = measure * (approx - sub.values) ** 2
+    rel_l2 = np.sqrt(residuals.sum() / (measure * np.sum(sub.values**2)))
+    last = reports[-1]
+    assert last.max_residual == pytest.approx(residuals.max(), rel=1e-12, abs=0.0)
+    assert last.rel_l2 == pytest.approx(rel_l2, rel=1e-12, abs=0.0)
+    assert last.abs_l2 == pytest.approx(np.sqrt(residuals.sum()), rel=1e-12, abs=0.0)

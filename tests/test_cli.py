@@ -74,6 +74,15 @@ def test_fit_nondividing_px_is_config_error(tmp_path, small_field):
         ("--l1", "-1"),
         ("--eps-tol", "-1"),
         ("--max-iters", "0"),
+        ("--sigma", "nan"),
+        ("--sigma", "inf"),
+        ("--l1", "nan"),
+        ("--l2", "inf"),
+        ("--tol", "nan"),
+        ("--eps-tol", "nan"),
+        ("--eps-tol", "inf"),
+        ("--eta", "nan"),
+        ("--offsets", "nan,0;0,0;0,0"),
     ],
 )
 def test_fit_invalid_option_is_config_error(tmp_path, small_field, option, value):
@@ -232,6 +241,50 @@ def test_darcy_pressure_text_export(tmp_path):
     values = np.array(lines[7:], dtype=float)
     assert values.shape == (25,)
     np.testing.assert_allclose(values.reshape(5, 5)[:, 0], 1.0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--nx", "0", "--ny", "4"],
+        ["eval", "--nx", "4", "--ny", "4", "--bounds", "0,1"],
+        ["eval", "--nx", "4", "--ny", "4", "--bounds", "1,0,0,1"],
+        ["eval", "--nx", "4", "--ny", "4", "--bounds", "0,nan,0,1"],
+        ["darcy", "--nx", "-3"],
+        ["darcy", "--nx", "0"],
+        ["darcy", "--sweep", "0,8"],
+        ["verify-theory", "--c-values", "-1"],
+        ["verify-theory", "--sigma-values", "0"],
+        ["verify-theory", "--sigma-values", "nan"],
+    ],
+)
+def test_bad_grid_or_parameter_is_config_error(tmp_path, small_field, capsys, argv):
+    sur = tmp_path / "sur.txt"
+    assert main(_fit_args(small_field, sur)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.txt"
+    if argv[0] in ("eval", "darcy"):
+        argv = argv + ["--surrogate", str(sur)]
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--field", "{field}", "--sigma", "0.13", "--out", "{missing}/s.txt"],
+        ["darcy", "--field", "{field}", "--out-text", "{missing}/p.txt"],
+        ["verify-theory", "--out", "{missing}/t.csv"],
+    ],
+)
+def test_unwritable_output_is_data_error(tmp_path, small_field, capsys, argv):
+    missing = tmp_path / "missing_dir"
+    argv = [a.format(field=small_field, missing=missing) for a in argv]
+    assert main(argv) == 3
+    assert "cannot write" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_verify_theory_csv(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from fieldfit.darcy import (
     DarcyProblem,
     PressureSolution,
-    field_rel_error,
     line_mesh,
     pressure_rel_error,
     solve_darcy,
@@ -12,7 +11,7 @@ from fieldfit.darcy import (
 )
 from fieldfit.elastic_net import ElasticNetConfig
 from fieldfit.errors import NumericalError
-from fieldfit.fields import box_field_2d, smooth_field_2d
+from fieldfit.fields import box_field_2d, relative_l2_error, smooth_field_2d
 from fieldfit.partition import DictionarySpec, fit_parallel, make_partition
 
 
@@ -174,9 +173,10 @@ def test_holes_solve_and_mesh_free_surrogate_eval():
 
 def test_field_rel_error_exact_and_scaled():
     field = box_field_2d(4, 4)
-    assert field_rel_error(field, field.piecewise_eval) == 0.0
+    sub = field.whole()
+    assert relative_l2_error(sub, field.piecewise_eval) == 0.0
     delta = 1e-3
-    assert field_rel_error(field, lambda p: field.piecewise_eval(p) * (1 + delta)) == pytest.approx(
+    assert relative_l2_error(sub, lambda p: field.piecewise_eval(p) * (1 + delta)) == pytest.approx(
         delta, rel=1e-12
     )
 
@@ -192,7 +192,7 @@ def test_field_rel_error_uniform_lattice_magnitude():
         m_max=0, elastic=ElasticNetConfig(lam1=4.59e-4, lam2=1e-4, tol=1e-6, max_iters=3000)
     )
     surrogate, _ = fit_parallel(field, part, cfg, DictionarySpec(sigma=0.0625, lattice=16))
-    err = field_rel_error(field, surrogate)
+    err = relative_l2_error(field.whole(), surrogate.evaluate)
     assert 2.28e-4 <= err <= 2.28e-2
 
 

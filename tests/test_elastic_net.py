@@ -158,8 +158,7 @@ def test_fit_log_field_constant_e_single_basis():
     # Shepard with one basis is a column of ones; log(e) = 1 everywhere
     W = np.ones((5, 1))
     values = np.full(5, np.e)
-    res, log_flag = fit_log_field(values, W, ElasticNetConfig())
-    assert log_flag
+    res = fit_log_field(values, W, ElasticNetConfig())
     np.testing.assert_allclose(res.beta, [1.0], atol=1e-12)
     np.testing.assert_allclose(np.exp(W @ res.beta), np.e)
 
@@ -172,7 +171,7 @@ def test_fit_log_field_rejects_nonpositive_with_index():
 
 def test_fit_log_field_two_value_targets():
     W = np.eye(2)
-    res, _ = fit_log_field(np.array([1e-4, 1e-1]), W, ElasticNetConfig())
+    res = fit_log_field(np.array([1e-4, 1e-1]), W, ElasticNetConfig())
     np.testing.assert_allclose(res.beta, [-4 * np.log(10), -np.log(10)], atol=1e-10)
 
 
@@ -192,16 +191,16 @@ def test_enriched_step_design_is_certified():
     sub = step_field_1d(16).whole()
     d0 = centroid_dictionary(sub.centroids, 0.0019)
     cfg = ElasticNetConfig(lam1=4.59e-4, lam2=4.64e-6)
-    first, _ = fit_log_field(sub.values, shepard_features(sub.centroids, d0), cfg)
+    first = fit_log_field(sub.values, shepard_features(sub.centroids, d0), cfg)
     surrogate = LocalSurrogate(dictionary=d0, beta=first.beta, log_transform=True)
-    marked = mark(residual_indicators(surrogate, sub), 1)
+    marked = mark(residual_indicators(surrogate.evaluate(sub.centroids), sub), 1)
     centers, widths = enrich(d0, marked, sub, eta=0.5, m_q=3)
     d1 = d0.extended(centers, widths, generation=1)
     assert len(d1) == 19
 
     W = shepard_features(sub.centroids, d1)
     y = np.log(sub.values)
-    res, _ = fit_log_field(sub.values, W, cfg, beta0=np.concatenate([first.beta, np.zeros(3)]))
+    res = fit_log_field(sub.values, W, cfg, beta0=np.concatenate([first.beta, np.zeros(3)]))
     assert res.converged
     assert res.iterations <= 20_000
     hist = res.objective_history
@@ -269,8 +268,8 @@ def test_collinear_least_squares_is_certified_and_exact():
     d = centroid_dictionary(sub.centroids, 0.13)
     W = shepard_features(sub.centroids, d)
     assert W.shape == (16, 16)
-    res, log_flag = fit_log_field(sub.values, W, ElasticNetConfig())
+    res = fit_log_field(sub.values, W, ElasticNetConfig())
     assert res.converged and res.iterations == 1
-    surrogate = LocalSurrogate(dictionary=d, beta=res.beta, log_transform=log_flag)
+    surrogate = LocalSurrogate(dictionary=d, beta=res.beta, log_transform=True)
     pts = np.random.default_rng(5).uniform(0.0, 0.5, (200, 2))
     np.testing.assert_allclose(surrogate.evaluate(pts), 3.7, rtol=1e-12)

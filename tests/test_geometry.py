@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fieldfit.geometry import Box, build_mesh, cell_quadrature, locate_many
+from fieldfit.geometry import Box, build_mesh, locate_many
 
 
 def test_mesh_32x32_unit_square():
@@ -38,40 +38,6 @@ def test_mesh_errors():
         build_mesh(1, 4, (1, 0))
     with pytest.raises(ValueError):
         build_mesh(3, (2, 2, 2), ((0, 1),) * 3)
-
-
-def test_midpoint_rule_weight_is_area():
-    mesh = build_mesh(2, (1, 1), ((0, 1), (0, 1)))
-    pts, wts = cell_quadrature(mesh.centroids, mesh.cell_size, order=1)
-    assert pts[0].shape == (1, 2)
-    assert wts[0] == pytest.approx(1.0)
-
-
-def test_gauss2_integrates_x2y2():
-    mesh = build_mesh(2, (1, 1), ((0, 1), (0, 1)))
-    pts, wts = cell_quadrature(mesh.centroids, mesh.cell_size, order=2)
-    val = np.sum(wts * pts[0, :, 0] ** 2 * pts[0, :, 1] ** 2)
-    assert val == pytest.approx(1 / 9, rel=1e-14)
-
-
-def test_gauss2_weights_sum_to_area():
-    mesh = build_mesh(2, (5, 3), ((0, 2), (1, 4)))
-    _, wts = cell_quadrature(mesh.centroids[7:8], mesh.cell_size, order=2)
-    assert wts.sum() == pytest.approx(mesh.cell_measure, rel=1e-14)
-
-
-def test_quadrature_unsupported_order():
-    mesh = build_mesh(1, 2, (0, 1))
-    with pytest.raises(ValueError):
-        cell_quadrature(mesh.centroids, mesh.cell_size, order=3)
-
-
-def test_midpoint_weights_sum_to_domain_measure():
-    mesh = build_mesh(2, (17, 9), ((0.2, 1.7), (-1, 2)))
-    pts, wts = cell_quadrature(mesh.centroids, mesh.cell_size, 1)
-    total = wts.sum() * pts.shape[0]
-    measure = 1.5 * 3.0
-    assert abs(total - measure) / measure < 1e-12
 
 
 def test_locate_half_open_split():
@@ -114,16 +80,6 @@ def test_locate_partition_no_double_membership():
     counts = np.bincount(owner, minlength=8)
     assert counts.sum() == len(pts)
     assert np.all(counts > 0)
-
-
-def test_cell_quadrature_matches_single_cell_rule():
-    mesh = build_mesh(2, (4, 4), ((0, 1), (0, 1)))
-    pts, wts = cell_quadrature(mesh.centroids, mesh.cell_size, 2)
-    # cell 5 is (ix=1, iy=1) = [0.25, 0.5]^2; Gauss nodes at 1/2 -+ 1/(2 sqrt 3)
-    nodes = 0.25 + 0.25 * np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-    expected = np.array([[x, y] for x in nodes for y in nodes])
-    np.testing.assert_allclose(np.sort(pts[5], axis=0), np.sort(expected, axis=0), atol=1e-15)
-    np.testing.assert_allclose(wts.sum(), mesh.cell_measure)
 
 
 def test_box_validation():
