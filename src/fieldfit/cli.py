@@ -162,12 +162,18 @@ def _parse_offsets(text: str | None, dim: int):
     return offs
 
 
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+
+
 def _fit_setup(args, mesh):
     """Partition, dictionary spec and per-subdomain configs for ``fit``.
 
     Their constructors validate every option; a ``ValueError`` from any of
     them becomes a :class:`ConfigError`.
     """
+    _check_workers(args)
     try:
         part = make_partition(mesh, args.px, args.py)
         n_sub = part.n_subdomains
@@ -293,9 +299,16 @@ def cmd_darcy(args) -> int:
     def run(coeff, n_x, n_y):
         tri = triangulate(n_x, n_y, bounds)
         problem = DarcyProblem(mesh=tri, coefficient=coeff, dirichlet=dirichlet)
-        return solve_darcy(problem)
+        sol = solve_darcy(problem)
+        d = sol.diagnostics
+        solves.append(
+            f"# solve nx={n_x} ny={n_y} method={d['method']} iterations={d['iterations']} "
+            f"levels={d['levels']} residual={d['residual']:.3e}"
+        )
+        return sol
 
     lines = [f"# {_provenance(args)}"]
+    solves = []
     solution = None
     if sizes:
         coeff = surrogate.evaluate if surrogate else data.piecewise_eval
@@ -331,7 +344,7 @@ def cmd_darcy(args) -> int:
     if solution is not None and args.out_text:
         write_pressure_text(solution, args.out_text)
     if args.report:
-        fio._write_text(args.report, "\n".join(lines) + "\n")
+        fio._write_text(args.report, "\n".join(lines + solves) + "\n")
     for line in lines[1:]:
         print(line)
     return 0
@@ -372,6 +385,7 @@ def _preset_field(name):
 def cmd_preset(args) -> int:
     import pathlib
 
+    _check_workers(args)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     name = args.name

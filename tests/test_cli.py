@@ -83,6 +83,8 @@ def test_fit_nondividing_px_is_config_error(tmp_path, small_field):
         ("--eps-tol", "inf"),
         ("--eta", "nan"),
         ("--offsets", "nan,0;0,0;0,0"),
+        ("--workers", "0"),
+        ("--workers", "-3"),
     ],
 )
 def test_fit_invalid_option_is_config_error(tmp_path, small_field, option, value):
@@ -223,6 +225,15 @@ def test_darcy_sweep_reports_slope(tmp_path, small_field):
     text = report.read_text()
     assert "# slope=" in text
     assert len([l for l in text.splitlines() if l and not l.startswith(("#", "nx"))]) == 3
+    # one diagnostics line per solve: the staircase reference, then the sweep
+    solves = [l.split()[2:] for l in text.splitlines() if l.startswith("# solve ")]
+    assert [s[:2] for s in solves] == [
+        [f"nx={n}", f"ny={n}"] for n in (32, 8, 16, 32)
+    ]
+    for s in solves:
+        fields = dict(kv.split("=") for kv in s)
+        assert (fields["method"], fields["iterations"], fields["levels"]) == ("cg", "1", "1")
+        assert float(fields["residual"]) <= 1e-10
 
 
 def test_darcy_requires_input(tmp_path):
@@ -307,6 +318,13 @@ def test_preset_step1d(tmp_path):
     surrogate = load(outdir / "step1d_surrogate.txt")
     added = surrogate.locals[0].dictionary.generations
     assert int((added > 0).sum()) == 6
+
+
+@pytest.mark.parametrize("name", ["step1d", "case-parallel"])
+def test_preset_nonpositive_workers_is_config_error(tmp_path, name):
+    outdir = tmp_path / "out"
+    assert main(["preset", name, "--outdir", str(outdir), "--workers", "0"]) == 2
+    assert not outdir.exists()
 
 
 def test_preset_spe10_requires_file(tmp_path):

@@ -1,5 +1,8 @@
+import gc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fieldfit.darcy import (
     DarcyProblem,
@@ -47,7 +50,7 @@ def test_two_layer_series_exact_1d():
 
 
 def test_large_1d_system_solves_directly():
-    # above the 2D direct-solve limit; the tridiagonal system stays direct
+    # far above the coarsest 2D multigrid level; the tridiagonal system stays direct
     mesh = line_mesh(24_576, (0, 1))
     sol = solve_darcy(_left_right(mesh, _ones))
     assert sol.diagnostics["method"] == "direct"
@@ -169,6 +172,89 @@ def test_holes_solve_and_mesh_free_surrogate_eval():
     inflow = sol.boundary_reaction("left")
     outflow = sol.boundary_reaction("right")
     assert abs(inflow + outflow) <= 1e-8 * max(abs(inflow), abs(outflow))
+
+
+def test_holed_mesh_interpolates_finite_on_kept_triangles():
+    # an edge midpoint a kept triangle shares with a removed one must not
+    # pick up the removed triangle's inactive (NaN) corner
+    tri = triangulate(32, 32, ((0, 1), (0, 1)), holes=((0.5, 0.5, 0.15),))
+    sol = solve_darcy(_left_right(tri, _ones))
+    assert pressure_rel_error(sol, sol) == 0.0
+    corners = tri.nodes[tri.triangles]
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        assert np.all(np.isfinite(sol.interpolate(0.5 * (corners[:, a] + corners[:, b]))))
+    assert np.isnan(sol.interpolate([[0.5, 0.5]])[0])
+
+
+def _reduced_direct_solve(sol, faces):
+    """spsolve on the reduced system that solve_darcy handed to multigrid."""
+    A, b = sol.system
+    A = A.tocsr()
+    active = np.isfinite(sol.values)
+    fixed = np.zeros_like(active)
+    for face in faces:
+        fixed[sol.mesh.face_nodes(face)] = True
+    fixed &= active
+    free = active & ~fixed
+    rhs = b - A @ np.where(fixed, sol.values, 0.0)
+    return free, spla.spsolve(A[free][:, free].tocsc(), rhs[free])
+
+
+@pytest.mark.parametrize(
+    "counts, holes",
+    [((160, 160), ()), ((129, 77), ()), ((60, 220), ()), ((200, 200), ((0.5, 0.5, 0.15),))],
+)
+def test_multigrid_cg_matches_direct_solve(counts, holes):
+    field = box_field_2d()
+    tri = triangulate(*counts, ((0, 1), (0, 1)), holes=holes)
+    sol = solve_darcy(_left_right(tri, field.piecewise_eval))
+    assert sol.diagnostics["method"] == "cg"
+    assert sol.diagnostics["levels"] >= 2
+    assert sol.diagnostics["residual"] <= 1e-10
+    free, direct = _reduced_direct_solve(sol, ("left", "right"))
+    np.testing.assert_allclose(sol.values[free], direct, rtol=0, atol=1e-9)
+    inflow = sol.boundary_reaction("left")
+    outflow = sol.boundary_reaction("right")
+    assert abs(inflow + outflow) <= 1e-8 * max(abs(inflow), abs(outflow))
+
+
+def test_multigrid_iterations_do_not_grow_with_the_mesh():
+    field = box_field_2d()
+    its = {
+        n: solve_darcy(_left_right(triangulate(n, n, ((0, 1), (0, 1))), field.piecewise_eval))
+        .diagnostics["iterations"]
+        for n in (64, 256)
+    }
+    assert its[256] <= 1.5 * its[64]
+
+
+@pytest.mark.parametrize("counts", [(3000, 2), (1000, 10)])
+def test_stretched_cells_keep_iterations_low(counts):
+    # halving both axes of 1000x10 cells takes 569 CG iterations; halving
+    # only the narrow axis takes 14, as on square cells
+    field = box_field_2d()
+    sol = solve_darcy(_left_right(triangulate(*counts, ((0, 1), (0, 1))), field.piecewise_eval))
+    assert sol.diagnostics["levels"] >= 2
+    assert sol.diagnostics["iterations"] <= 30
+
+
+def test_coarsest_sized_system_is_one_direct_step():
+    field = box_field_2d()
+    sol = solve_darcy(_left_right(triangulate(16, 16, ((0, 1), (0, 1))), field.piecewise_eval))
+    assert (sol.diagnostics["levels"], sol.diagnostics["iterations"]) == (1, 1)
+
+
+def test_multigrid_solve_leaves_no_cyclic_garbage():
+    # a hierarchy that refers to itself waits for the cyclic collector and
+    # holds every level's operators until then
+    problem = _left_right(triangulate(160, 160, ((0, 1), (0, 1))), box_field_2d().piecewise_eval)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_darcy(problem)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_field_rel_error_exact_and_scaled():
