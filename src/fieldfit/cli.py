@@ -205,6 +205,7 @@ def _fit_setup(args, mesh):
 
 
 def cmd_fit(args) -> int:
+    fio.check_writable(args.out, args.reports)
     data = fio.read_field(args.field)
     part, spec, configs = _fit_setup(args, data.mesh)
     surrogate, report = fit_parallel(
@@ -242,6 +243,7 @@ def _grid_points(nx, ny, bounds, dim):
 
 
 def cmd_eval(args) -> int:
+    fio.check_writable(args.out)
     surrogate = load(args.surrogate)
     mesh = surrogate.partition.mesh
     if args.bounds is not None:
@@ -277,6 +279,7 @@ def _bc_preset(name):
 def cmd_darcy(args) -> int:
     if not args.field and not args.surrogate:
         raise ConfigError("darcy requires --field and/or --surrogate")
+    fio.check_writable(args.out, args.out_text, args.report)
     data = fio.read_field(args.field) if args.field else None
     surrogate = load(args.surrogate) if args.surrogate else None
     ref = data if data is not None else surrogate.partition.mesh
@@ -353,6 +356,7 @@ def cmd_darcy(args) -> int:
 def cmd_verify_theory(args) -> int:
     from .step_approx import error_grid
 
+    fio.check_writable(args.out)
     try:
         cs = [float(t) for t in args.c_values.split(",")]
         sigmas = [float(t) for t in args.sigma_values.split(",")]

@@ -9,6 +9,9 @@ stored consecutively, each holding 85 layers of 220 rows by 60 columns.
 
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 
 from .errors import DataError
@@ -42,6 +45,29 @@ def _write_text(sink, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {sink}: {exc}") from exc
+
+
+def check_writable(*sinks) -> None:
+    """Raise the :class:`DataError` that writing to each path would, before any work.
+
+    A command that writes its outputs last calls this first, so a missing
+    or unwritable directory fails at once instead of after the whole
+    computation.  ``None`` and open file-like sinks are skipped.
+    """
+    for sink in sinks:
+        if sink is None or hasattr(sink, "write"):
+            continue
+        directory = os.path.dirname(os.path.abspath(sink))
+        if os.path.isdir(sink):
+            code = errno.EISDIR
+        elif not os.path.isdir(directory):
+            code = errno.ENOENT
+        elif not os.access(directory, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        else:
+            continue
+        exc = OSError(code, os.strerror(code), str(sink))
+        raise DataError(f"cannot write {sink}: {exc}")
 
 
 def read_field(source) -> FieldData:

@@ -8,7 +8,6 @@ worker count or scheduling order.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import io
 import math
@@ -19,19 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptive import AdaptiveConfig, RoundReport, fit_adaptive
+from .blas import one_blas_thread
 from .errors import DataError, FieldfitError
 from .fields import FieldData, SubdomainField
 from .geometry import Box, Mesh, build_mesh, locate_many
 from .io import _read_text, _write_text
 from .rbf import LocalSurrogate, RbfDictionary, centroid_dictionary, lattice_dictionary
-
-# OpenBLAS thread-count controls under the names its builds export
-# (plain, and as bundled with numpy and scipy wheels)
-_OPENBLAS_THREAD_CONTROLS = (
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-)
 
 SURROGATE_FORMAT = "fieldfit-surrogate"
 SURROGATE_VERSION = 1
@@ -155,56 +147,6 @@ class ParallelFitReport:
     max_concurrent: int
 
 
-def _openblas_thread_controls():
-    """(get, set) thread-count functions of every OpenBLAS this process loaded.
-
-    The libraries are found in the process's memory map, so this finds
-    nothing (and the caller changes nothing) where there is no
-    ``/proc/self/maps`` or no OpenBLAS.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({
-                line.split()[-1] for line in fh
-                if "openblas" in line.split()[-1].rsplit("/", 1)[-1]
-            })
-    except OSError:
-        return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_CONTROLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-    return controls
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore its setting.
-
-    Subdomain fits run this way whatever the worker count: pool workers
-    then do not each start one BLAS thread per core, and the fits are
-    bit-identical in the calling process and in a worker, since BLAS
-    results can depend on the thread count.
-    """
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), n in zip(controls, saved):
-            set_(n)
-
-
 def _release_free_heap():
     """Return the C heap's free pages to the system (glibc's ``malloc_trim``).
 
@@ -227,7 +169,7 @@ def _fit_one(args):
     index, sub, spec, cfg = args
     t0 = time.perf_counter()
     try:
-        with _one_blas_thread():
+        with one_blas_thread():
             surrogate, reports = fit_adaptive(sub, spec.build(sub), cfg)
     except FieldfitError as exc:
         # keep the class, so the CLI still maps it to its exit code
@@ -250,8 +192,10 @@ def fit_parallel(
     ``configs`` and ``spec`` may be single values (broadcast) or sequences
     with one entry per subdomain.  Results are gathered by subdomain index
     and are identical for any worker count: every fit runs with OpenBLAS on
-    one thread (:func:`_one_blas_thread`), in this process and in pool
-    workers alike.
+    one thread (:func:`fieldfit.blas.one_blas_thread`), in this process and
+    in pool workers alike, so pool workers do not each start one BLAS thread
+    per core, and the fits are bit-identical in the calling process and in a
+    worker.
     """
     n = partition.n_subdomains
     cfgs = _broadcast(configs, n, AdaptiveConfig, "configs")

@@ -115,6 +115,17 @@ def test_fit_converged_prints_no_warning(tmp_path, small_field, capsys):
     assert "warning" not in capsys.readouterr().err
 
 
+def test_ill_conditioned_least_squares_fit_prints_no_warning(tmp_path, capsys):
+    # plain least squares (the default --l1 0 --l2 0) on designs with
+    # condition number 2e10: the min-norm solve is exact to rounding
+    field = tmp_path / "box16.txt"
+    write_field(box_field_2d(16, 16), field)
+    argv = ["fit", "--field", str(field), "--sigma", "0.13", "--px", "2", "--py", "2",
+            "--out", str(tmp_path / "s.txt")]
+    assert main(argv) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_fit_missing_field_is_data_error(tmp_path):
     rc = main(_fit_args(tmp_path / "nope.txt", tmp_path / "s.txt"))
     assert rc == 3
@@ -288,14 +299,31 @@ def test_bad_grid_or_parameter_is_config_error(tmp_path, small_field, capsys, ar
         ["fit", "--field", "{field}", "--sigma", "0.13", "--out", "{missing}/s.txt"],
         ["darcy", "--field", "{field}", "--out-text", "{missing}/p.txt"],
         ["verify-theory", "--out", "{missing}/t.csv"],
+        ["fit", "--field", "{field}", "--sigma", "0.13", "--out", "{ok}/s.txt",
+         "--reports", "{missing}/r.csv"],
+        ["darcy", "--field", "{field}", "--out", "{missing}/p.csv"],
+        ["darcy", "--field", "{field}", "--surrogate", "{surrogate}", "--report", "{missing}/r.txt"],
+        ["eval", "--surrogate", "{surrogate}", "--nx", "4", "--ny", "4", "--out", "{missing}/e.csv"],
     ],
 )
-def test_unwritable_output_is_data_error(tmp_path, small_field, capsys, argv):
+def test_unwritable_output_is_data_error(tmp_path, small_field, capsys, monkeypatch, argv):
+    surrogate = tmp_path / "sur.txt"
+    assert main(_fit_args(small_field, surrogate)) == 0
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output path was checked")
+
+    monkeypatch.setattr("fieldfit.cli.fit_parallel", no_work)
+    monkeypatch.setattr("fieldfit.cli.solve_darcy", no_work)
+    monkeypatch.setattr("fieldfit.partition.GlobalSurrogate.evaluate", no_work)
+    monkeypatch.setattr("fieldfit.step_approx.error_grid", no_work)
     missing = tmp_path / "missing_dir"
-    argv = [a.format(field=small_field, missing=missing) for a in argv]
+    argv = [a.format(field=small_field, missing=missing, ok=tmp_path, surrogate=surrogate) for a in argv]
+    capsys.readouterr()
     assert main(argv) == 3
-    assert "cannot write" in capsys.readouterr().err
+    assert f"cannot write {missing}" in capsys.readouterr().err
     assert not missing.exists()
+    assert not (tmp_path / "s.txt").exists()
 
 
 def test_verify_theory_csv(tmp_path):

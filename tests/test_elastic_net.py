@@ -273,3 +273,25 @@ def test_collinear_least_squares_is_certified_and_exact():
     surrogate = LocalSurrogate(dictionary=d, beta=res.beta, log_transform=True)
     pts = np.random.default_rng(5).uniform(0.0, 0.5, (200, 2))
     np.testing.assert_allclose(surrogate.evaluate(pts), 3.7, rtol=1e-12)
+
+
+def _box16_design(index):
+    data = box_field_2d(16, 16)
+    sub = make_partition(data.mesh, 2, 2).subdomain_fields(data)[index]
+    return shepard_features(sub.centroids, centroid_dictionary(sub.centroids, 0.13)), np.log(sub.values)
+
+
+@pytest.mark.parametrize("index", [0, 3])
+def test_ill_conditioned_least_squares_is_certified(index):
+    # condition number 2e10; subdomain 3 is constant and fits exactly
+    W, y = _box16_design(index)
+    assert np.linalg.cond(W) > 1e10
+    assert fit(W, y, ElasticNetConfig()).converged
+
+
+def test_truncated_least_squares_is_not_certified(monkeypatch):
+    W, y = _box16_design(0)
+    exact = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: exact(a, b, rcond=1e-6))
+    res = fit(W, y, ElasticNetConfig())
+    assert res.iterations == 1 and not res.converged

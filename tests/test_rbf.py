@@ -148,11 +148,9 @@ def _mixed_width_dictionary(rng, m, dim, lo=0.0, hi=1.0):
 
 
 def _layout(points, d):
-    """(tiles, most row blocks in one tile) of shepard_eval on these points."""
+    """(tiles, most GEMM row blocks in one tile) of shepard_eval on these points."""
     order, starts, lo, hi = rbf._tiles(np.asarray(points, dtype=float), d)
-    kept = rbf._kept_centres(lo, hi, d.centers, -1.0 / (2.0 * d.widths**2)).sum(axis=1)
-    rows = np.maximum(1, _EVAL_BLOCK_BYTES // (8 * kept))
-    return starts.shape[0] - 1, int(np.max(-(-np.diff(starts) // rows)))
+    return starts.shape[0] - 1, int(np.max(-(-np.diff(starts) // rbf._GEMM_ROWS)))
 
 
 @pytest.mark.parametrize("dim, m, n", [(1, 250, 6000), (2, 600, 20000)])
@@ -186,6 +184,59 @@ def test_global_surrogate_evaluate_is_pointwise():
     batch = sur.evaluate(pts)
     for j in rng.choice(pts.shape[0], 60, replace=False):
         np.testing.assert_array_equal(sur.evaluate(pts[j]), batch[j : j + 1])
+
+
+def _assert_pointwise(pts, d, beta, rng, probes=60):
+    batch = shepard_eval(pts, d, beta)
+    for j in rng.choice(pts.shape[0], min(probes, pts.shape[0]), replace=False):
+        np.testing.assert_array_equal(shepard_eval(pts[j : j + 1], d, beta), batch[j : j + 1])
+    np.testing.assert_array_equal(shepard_eval(pts[::-1], d, beta), batch[::-1])
+    return batch
+
+
+def test_unattained_shift_bound_is_finished_exactly():
+    # the nearest x-key and the nearest y-key near (0, 0) and (1, 1) belong
+    # to different centres, so the per-axis bound of the row maximum is
+    # 5000 above it and every factored weight underflows
+    d = RbfDictionary(centers=np.array([[0.0, 1.0], [1.0, 0.0]]), widths=np.array([0.01, 0.01]))
+    beta = np.array([2.0, -3.0])
+    rng = np.random.default_rng(29)
+    pts = np.vstack([0.02 * rng.random((40, 2)), 1.0 - 0.02 * rng.random((40, 2))])
+    got = _assert_pointwise(pts, d, beta, rng)
+    assert np.all(np.isfinite(got))
+    assert np.all(got >= beta.min()) and np.all(got <= beta.max())
+    # both centres' exponents are near -5000, whose rounding (9e-13) moves
+    # the ratio of two comparable weights, and so the blend, by about as much
+    # in any summation, direct or not
+    atol = np.spacing(np.abs(d.log_features(pts)).max()) * np.ptp(beta)
+    np.testing.assert_allclose(got, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=atol)
+
+
+def test_mixed_width_1d_matches_direct_sum():
+    # shared coordinates with other widths, and one centre twice
+    rng = np.random.default_rng(31)
+    xs = np.concatenate([np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 11), [0.5, 0.5]])
+    widths = np.concatenate([np.full(21, 0.05), np.full(11, 0.01), [0.002, 0.002]])
+    d = RbfDictionary(centers=xs[:, None], widths=widths)
+    beta = rng.standard_normal(len(d))
+    pts = rng.uniform(-0.3, 1.3, (3000, 1))
+    got = _assert_pointwise(pts, d, beta, rng)
+    np.testing.assert_allclose(got, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=1e-13)
+
+
+def test_lattice_eval_is_pointwise_across_gemm_blocks():
+    box = Box(lo=(0.0, 0.0), hi=(0.5, 0.5), open_hi=(False, False))
+    d = lattice_dictionary(box, 16, 0.031).extended(
+        [[0.11, 0.2], [0.13, 0.2], [0.11, 0.3]], [0.0155] * 3, generation=1
+    )
+    rng = np.random.default_rng(37)
+    beta = rng.standard_normal(len(d))
+    # most points in one tile of side 4 * 0.031 at the lattice's first centre
+    pts = np.vstack([0.016 + 0.12 * rng.random((4 * rbf._GEMM_ROWS, 2)), rng.random((500, 2)) * 0.5])
+    tiles, blocks = _layout(pts, d)
+    assert blocks >= 3
+    got = _assert_pointwise(pts, d, beta, rng)
+    np.testing.assert_allclose(got, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=1e-13)
 
 
 @st.composite
