@@ -80,11 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--offsets", help="new-center offsets in cell units, e.g. '0,0;-0.25,0;0.25,0'")
     f.add_argument(
         "--tol", type=float, default=1e-10,
-        help="relative duality gap at which the Elastic Net solver starts its active-set finish",
+        help="relative duality gap below which the Elastic Net solver tries its active-set finish"
+        " after each Newton step",
     )
     f.add_argument(
         "--max-iters", type=int, default=100_000,
-        help="cap on Elastic Net proximal-gradient iterations per fit",
+        help="cap on Elastic Net Newton steps per fit",
     )
     f.add_argument("--workers", type=int, default=1)
     f.set_defaults(func=cmd_fit)

@@ -278,7 +278,7 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
         active = np.ones(mesh.n_nodes, dtype=bool)
     else:
         active = np.zeros(mesh.n_nodes, dtype=bool)
-        active[np.unique(mesh.triangles)] = True
+        active[mesh.triangles.ravel()] = True
 
     x = np.zeros(mesh.n_nodes)
     dir_mask = np.zeros(mesh.n_nodes, dtype=bool)

@@ -1,14 +1,16 @@
-"""Elastic Net regression by accelerated proximal gradient, certified by the duality gap.
+"""Elastic Net regression by semismooth Newton on the dual, certified by the duality gap.
 
 Minimizes 0.5 ||y - W b||^2 + lam1 ||b||_1 + 0.5 lam2 ||b||^2 with no
-intercept.  Penalized fits run monotone FISTA with adaptive restart on the
-design as given, two matrix-vector products per iteration, and stop only
-once the duality gap certifies the result; an active-set finish on the
-iterate's sign pattern gets there early.  Plain least squares (lam1 = lam2
-= 0) is a direct minimum-norm solve.  Columns are not standardized: the
-design matrices produced by Shepard normalization are already
-scale-balanced, and rescaling would change the minimizer of the penalized
-objective.
+intercept.  Penalized fits minimize the Fenchel dual, one unknown per row
+of the design, by damped semismooth Newton: each step solves the linear
+system of the current active set exactly, so a fit takes a handful of
+steps.  A fit stops only once the duality gap certifies the primal point;
+an active-set finish on its sign pattern gets there early.  Pure lasso
+(lam2 = 0) runs the same steps inside a proximal-point loop.  Plain least
+squares (lam1 = lam2 = 0) is a direct minimum-norm solve.  Columns are not
+standardized: the design matrices produced by Shepard normalization are
+already scale-balanced, and rescaling would change the minimizer of the
+penalized objective.
 """
 
 from __future__ import annotations
@@ -18,9 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
 
-# iterations between duality-gap evaluations
-GAP_CHECK_EVERY = 10
+# Armijo sufficient-decrease fraction, and the step halvings after which
+# a line search gives up
+ARMIJO_C = 1e-4
+MAX_HALVINGS = 40
+# a line search counts a decrease of the dual objective only when it
+# exceeds this many times the magnitude of the terms it is summed from
+ROUNDING = 16 * np.finfo(float).eps
+# pure lasso: the proximal weight starts at the largest squared column norm
+# and shrinks by this factor each time the centre moves
+PROX_SHRINK = 0.1
 # a solution is certified when its duality gap is this small relative to
 # its objective
 GAP_RTOL = 1e-12
@@ -38,8 +49,9 @@ class ElasticNetConfig:
     """Penalty weights and stopping controls for :func:`fit`.
 
     ``tol`` is the relative duality gap below which the solver starts
-    trying the active-set finish; it never stops a fit by itself.
-    ``max_iters`` caps the proximal-gradient iterations.
+    trying the active-set finish (a line search that finds no decrease
+    tries it too); it never stops a fit by itself.
+    ``max_iters`` caps the Newton steps.
     """
 
     lam1: float = 0.0
@@ -62,11 +74,13 @@ class ElasticNetConfig:
 class FitResult:
     """Solver output.
 
-    ``iterations`` counts proximal-gradient iterations (a direct
-    least-squares solve counts as one) and ``objective_history`` has one
-    entry per iteration: the objective of the best iterate so far, so it is
-    nonincreasing.  When the active-set finish certified the fit, the last
-    entry is the finished objective, which is no higher than the iterate's.
+    ``iterations`` counts Newton steps, a last one whose line search
+    failed included (a direct least-squares solve counts as one), and
+    ``objective_history`` has one entry per step: the lowest objective of
+    the warm start and the primal points of the steps so far, so it is
+    nonincreasing, except that the last entry of a converged fit is the
+    objective of the certified point, which is returned: it is optimal to
+    within its gap, so it can exceed the entry before it only by rounding.
     ``objective`` equals the last entry.  ``converged`` is true only when the
     returned coefficients are certified optimal (see :func:`fit`).
     """
@@ -89,26 +103,24 @@ def soft_threshold(z, lam):
 def fit(W, y, config: ElasticNetConfig, beta0=None) -> FitResult:
     """Solve the Elastic Net problem, certified by the duality gap.
 
-    Penalized problems run monotone FISTA (Beck & Teboulle 2009) with the
-    smooth part 0.5 ||y - W b||^2 + 0.5 lam2 ||b||^2 and the l1 term in the
-    prox.  The step is 1/L with L = ||W||_1 ||W||_inf + lam2, a bound on
-    the smooth part's Lipschitz constant for any W that needs no eigen-solve
-    (rows of Shepard weights sum to one, so L is then the largest column sum
-    plus lam2).  Momentum restarts when a step would raise the objective,
-    which is then not taken, or when it points against the last step
-    (gradient restart, O'Donoghue & Candes 2015).
+    Penalized problems are solved on the Fenchel dual, one unknown per row
+    of ``W`` (:func:`_dual_newton`): damped semismooth Newton on
+    phi(theta) = 0.5 |theta|^2 - theta.y + |S_lam1(W^T theta)|^2 / (2 lam2),
+    whose minimizer gives the primal solution beta = S_lam1(W^T theta) / lam2.
+    Pure lasso (lam2 = 0) runs the same steps inside a proximal-point loop.
+    The warm start ``beta0`` enters as theta_0 = y - W beta0.
 
-    Every ``GAP_CHECK_EVERY`` iterations, and at the last, the duality gap
-    (:func:`duality_gap`) of the iterate is computed.  The fit stops with
-    ``converged=True`` when that gap is within ``GAP_RTOL`` of the
-    objective, or when the active-set finish (Friedman, Hastie & Tibshirani
-    2010) is accepted: once the relative gap is at most ``config.tol``, the
-    sign-pattern system of the iterate is solved directly, once per
-    pattern, and the solution is taken if it keeps that sign pattern, its
-    gap is within ``GAP_RTOL`` of its objective, and its objective is no
-    higher than the iterate's.  Otherwise the fit returns after
-    ``config.max_iters`` iterations with ``converged=False`` rather than
-    raising.
+    After every step the duality gap (:func:`duality_gap`) of beta(theta)
+    is computed.  The fit stops with ``converged=True`` when that gap is
+    within ``GAP_RTOL`` of the objective, or when the active-set finish
+    (Friedman, Hastie & Tibshirani 2010) is accepted: once the relative gap
+    is at most ``config.tol``, the sign-pattern system of beta(theta) is
+    solved directly, once per pattern, and the solution is taken if it
+    keeps that sign pattern and its gap is within ``GAP_RTOL`` of its
+    objective.  A line search that finds no decrease leaves the finish as
+    the last thing to try, whatever the gap.  Otherwise the fit returns the
+    best coefficients seen, with ``converged=False`` rather than raising,
+    after ``config.max_iters`` steps or a failed line search.
 
     Plain least squares (lam1 = lam2 = 0) is solved directly for the
     minimum-norm solution, whatever ``beta0``; it is ``converged`` when the
@@ -131,65 +143,145 @@ def fit(W, y, config: ElasticNetConfig, beta0=None) -> FitResult:
             raise ValueError(f"beta0 length {x.shape[0]} does not match {m} columns")
     if config.lam1 == 0 and config.lam2 == 0:
         return _least_squares(W, y)
+    return _dual_newton(W, y, x, config)
 
-    lam1, lam2 = config.lam1, config.lam2
-    absW = np.abs(W)
-    L = float(absW.sum(axis=0).max(initial=0.0) * absW.sum(axis=1).max(initial=0.0)) + lam2
-    del absW
-    # W = 0 with lam2 = 0 leaves nothing smooth, and any step size works
-    step = 1.0 / L if L > 0 else 1.0
 
-    Wx = W @ x
-    fx = _objective(y - Wx, x, config)
-    x_prev, Wx_prev = x, Wx
-    z, Wz, t = x, Wx, 1.0
-    history = np.empty(config.max_iters)
+def _dual_newton(W, y, beta0, config: ElasticNetConfig) -> FitResult:
+    """Damped semismooth Newton on the Elastic Net dual (Li, Sun & Toh 2018).
+
+    The gradient of phi is theta - y + W beta(theta) and its generalized
+    Hessian is I + W_A W_A^T / lam2 on the active set A = {j : |w_j.theta|
+    > lam1}.  Each step solves that n x n system by Cholesky and backtracks
+    on phi until the Armijo condition holds.
+
+    For lam2 = 0 the objective gains mu/2 |beta - c|^2 about a centre c,
+    so the kernel runs with mu in place of lam2 and W^T theta shifted by
+    mu c.  When the subproblem's optimality error |W^T grad| is at most
+    half of mu |beta - c| (a relative-error proximal-point rule), the
+    centre moves to beta(theta) and mu shrinks by ``PROX_SHRINK``.  The
+    certificate is always the gap of the lasso itself.
+    """
+    lam1 = config.lam1
+    lasso = config.lam2 == 0
+    WT = np.ascontiguousarray(W.T)
+    if lasso:
+        mu = float(np.max(np.einsum("ij,ij->j", W, W), initial=0.0)) or 1.0
+        center = beta0
+    else:
+        mu, center = config.lam2, np.zeros_like(beta0)
+
+    theta = y - W @ beta0
+    best, best_obj = beta0, _objective(theta, beta0, config)
+    history = []
+    v = WT @ theta + mu * center
+    s = soft_threshold(v, lam1)
+    beta = s / mu
+    w_beta = W @ beta
     tried = set()
-    converged = False
-    k = 0
-    while k < config.max_iters:
-        u = soft_threshold(z - step * (W.T @ (Wz - y) + lam2 * z), step * lam1)
-        Wu = W @ u
-        fu = _objective(y - Wu, u, config)
-        k += 1
-        restart = fu > fx or float((z - u) @ (u - x)) > 0.0
-        if fu <= fx:
-            x_prev, Wx_prev = x, Wx
-            x, Wx, fx = u, Wu, fu
-        history[k - 1] = fx
-        if restart:
-            z, Wz, t = x, Wx, 1.0
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            c = (t - 1.0) / t_next
-            z, Wz, t = x + c * (x - x_prev), Wx + c * (Wx - Wx_prev), t_next
+    while len(history) < config.max_iters:
+        grad = theta - y + w_beta
+        d = _newton_direction(WT, np.flatnonzero(s), grad, mu)
+        step = _line_search(WT, y, theta, v, s, grad, d, lam1, mu, mu * center)
+        if step is not None:
+            theta, v, s = step
+            beta = s / mu
+            w_beta = W @ beta
+            r = y - w_beta
+            obj = _objective(r, beta, config)
+            if obj <= best_obj:
+                best, best_obj = beta, obj
+            gap = _gap(W, y, beta, r, config)
+        history.append(best_obj)
+        if step is not None and gap <= GAP_RTOL * obj:
+            history[-1] = obj
+            return _result(beta, obj, history, True)
 
-        if k % GAP_CHECK_EVERY and k < config.max_iters:
-            continue
-        gap = _gap(W, y, x, y - Wx, config)
-        if gap <= GAP_RTOL * fx:
-            converged = True
+        # a stalled line search leaves the finish as the last thing to try
+        if step is None or gap <= config.tol * obj:
+            signs = np.sign(beta).astype(np.int8)
+            pattern = signs.tobytes()
+            finished = None if pattern in tried else _sign_pattern_finish(W, y, signs, config)
+            tried.add(pattern)
+            if finished is not None:
+                history[-1] = finished[1]
+                return _result(*finished, history, True)
+        if step is None:
             break
-        if gap > config.tol * fx:
-            continue
-        signs = np.sign(x).astype(np.int8)
-        pattern = signs.tobytes()
-        if pattern in tried:
-            continue
-        tried.add(pattern)
-        finished = _sign_pattern_finish(W, y, signs, config)
-        if finished is not None and finished[1] <= fx:
-            x, history[k - 1] = finished
-            converged = True
-            break
+        if lasso and np.linalg.norm(WT @ (theta - y + w_beta)) <= 0.5 * mu * np.linalg.norm(
+            beta - center
+        ):
+            center, mu = beta, mu * PROX_SHRINK
+            v = WT @ theta + mu * center
+            s = soft_threshold(v, lam1)
+            w_beta = W @ (s / mu)
+    return _result(best, best_obj, history, False)
 
+
+def _newton_direction(WT, active, grad, mu):
+    """Solve (I + W_A W_A^T / mu) d = -grad.
+
+    The matrix mu I + W_A W_A^T is formed by one symmetric rank-|A| update
+    (its upper triangle only, half the flops of a general product) and
+    factored by Cholesky.  Returns None if the factorization fails.
+    """
+    if active.size == 0:
+        return -grad
+    n = grad.shape[0]
+    # rows of W^T are C-contiguous, so their transpose is a Fortran-order
+    # W_A that BLAS takes without a copy
+    h = dsyrk(1.0, WT[active].T)
+    h.flat[:: n + 1] += mu
+    try:
+        factor = cho_factor(h, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    return -mu * cho_solve(factor, grad, check_finite=False)
+
+
+def _line_search(WT, y, theta, v, s, grad, d, lam1, mu, shift):
+    """Backtrack along ``d`` until phi falls by ``ARMIJO_C`` of the predicted decrease.
+
+    Returns the accepted (theta, v, s), or None when ``d`` is missing, is
+    not a descent direction, or ``MAX_HALVINGS`` halvings find no
+    sufficient decrease.  The change of phi is summed from its parts rather
+    than taken as a difference of two values of phi: near the minimizer the
+    curvature 1 + |W_A|^2 / mu makes the decrease fall below the rounding
+    of phi itself while the gradient is still far from its own rounding.
+    """
+    if d is None:
+        return None
+    slope = float(grad @ d)
+    if not slope < 0.0:
+        return None
+    e = theta - y
+    t = 1.0
+    for _ in range(MAX_HALVINGS):
+        theta_t = theta + t * d
+        v_t = WT @ theta_t + shift
+        s_t = soft_threshold(v_t, lam1)
+        # phi's change between the two points, summed from their differences
+        step, delta = theta_t - theta, s_t - s
+        a, b = e + 0.5 * step, s + 0.5 * delta
+        change = float(a @ step) + float(b @ delta) / mu
+        # a decrease within the rounding of its terms, W^T theta's included,
+        # is no decrease
+        noise = ROUNDING * (
+            float(np.abs(a) @ np.abs(step)) + float(np.abs(b) @ (np.abs(v) + np.abs(v_t))) / mu
+        )
+        if change < -noise and change <= ARMIJO_C * t * slope:
+            return theta_t, v_t, s_t
+        t *= 0.5
+    return None
+
+
+def _result(beta, objective, history, converged) -> FitResult:
     return FitResult(
-        beta=x,
-        objective=float(history[k - 1]),
-        iterations=int(k),
+        beta=beta,
+        objective=float(objective),
+        iterations=len(history),
         converged=bool(converged),
-        active_set_size=int(np.count_nonzero(x)),
-        objective_history=history[:k].copy(),
+        active_set_size=int(np.count_nonzero(beta)),
+        objective_history=np.array(history, dtype=float),
     )
 
 

@@ -1,10 +1,10 @@
 """Independent reference implementations used only by the test suite.
 
 These are deliberately written with different algorithms than the library
-(plain proximal gradient with a backtracking line search on the Gram form
-instead of restarted FISTA on the design with an active-set finish, direct
-summation instead of blocked, vectorized kernels) so that agreement between
-the two is meaningful.
+(plain proximal gradient on the primal with a backtracking line search on
+the Gram form instead of semismooth Newton on the dual with an active-set
+finish, direct summation instead of blocked, vectorized kernels) so that
+agreement between the two is meaningful.
 """
 
 import numpy as np

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from fieldfit.adaptive import enrich, mark, residual_indicators
+import fieldfit.adaptive as adaptive
+from fieldfit.adaptive import AdaptiveConfig, enrich, fit_adaptive, mark, residual_indicators
 from fieldfit.elastic_net import (
+    GAP_RTOL,
     ElasticNetConfig,
     duality_gap,
     fit,
@@ -19,8 +21,9 @@ from oracles import elastic_net_objective, prox_gradient_elastic_net
 # oracle objective for the fixed 8x8 instance below, computed once with
 # prox_gradient_elastic_net (kkt_tol=1e-12) and frozen
 ORACLE_8X8_OBJECTIVE = 1.3720329345548663
-# the solver settings of the box-field experiments
+# the solver settings of the box-field and 1D step experiments
 BOX_ELASTIC = ElasticNetConfig(lam1=4.59e-4, lam2=1e-4, tol=1e-6, max_iters=4000)
+STEP_ELASTIC = ElasticNetConfig(lam1=4.59e-4, lam2=4.64e-6)
 
 
 def _instance_8x8():
@@ -93,6 +96,38 @@ def test_oracle_equivalence_random_instances():
         assert np.max(np.abs(res.beta - beta_oracle)) <= 1e-6
 
 
+def test_lasso_proximal_point_path():
+    # lam2 = 0 runs the Newton steps inside the proximal-point loop, which
+    # the lam2 ~ U(0, 1) draws above never reach
+    rng = np.random.default_rng(78)
+    for _ in range(30):
+        m = int(rng.integers(1, 18))
+        n = int(rng.integers(m + 3, 21))
+        W = rng.standard_normal((n, m))
+        y = rng.standard_normal(n)
+        lam1 = float(rng.uniform(0, 1))
+        cfg = ElasticNetConfig(lam1=lam1)
+        res = fit(W, y, cfg)
+        assert res.converged
+        assert duality_gap(W, y, res.beta, cfg) <= GAP_RTOL * res.objective
+        beta_oracle = prox_gradient_elastic_net(W, y, lam1, 0.0)
+        obj_oracle = elastic_net_objective(W, y, beta_oracle, lam1, 0.0)
+        # the certificate allows an excess of GAP_RTOL; the oracle's ISTA
+        # stops further above the optimum, and beta is unique for n > m
+        assert res.objective <= obj_oracle + GAP_RTOL * res.objective
+        assert np.max(np.abs(res.beta - beta_oracle)) <= 1e-5
+    # more columns than rows: no strong convexity, certificate only
+    for _ in range(10):
+        n = int(rng.integers(3, 20))
+        m = int(rng.integers(n, 40))
+        W = rng.standard_normal((n, m))
+        y = rng.standard_normal(n)
+        cfg = ElasticNetConfig(lam1=float(rng.uniform(0.01, 1)))
+        res = fit(W, y, cfg)
+        assert res.converged
+        assert duality_gap(W, y, res.beta, cfg) <= GAP_RTOL * res.objective
+
+
 def test_sparsity_nonincreasing_in_lam1():
     # active-set monotonicity in lam1 is typical rather than guaranteed
     # (strongly correlated designs can re-activate coordinates), so the
@@ -149,9 +184,11 @@ def test_nonconvergence_is_flagged_not_fatal():
     rng = np.random.default_rng(3)
     W = rng.standard_normal((10, 5))
     y = rng.standard_normal(10)
-    res = fit(W, y, ElasticNetConfig(lam1=0.01, max_iters=1))
-    assert not res.converged
-    assert res.iterations == 1
+    # the lasso's proximal-point loop and the plain Elastic Net path
+    for lam2 in (0.0, 0.01):
+        res = fit(W, y, ElasticNetConfig(lam1=0.01, lam2=lam2, max_iters=1))
+        assert not res.converged
+        assert res.iterations == 1
 
 
 def test_fit_log_field_constant_e_single_basis():
@@ -295,3 +332,42 @@ def test_truncated_least_squares_is_not_certified(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: exact(a, b, rcond=1e-6))
     res = fit(W, y, ElasticNetConfig())
     assert res.iterations == 1 and not res.converged
+
+
+def _recorded_fits(monkeypatch, sub, initial, cfg):
+    """(W, log-values, result) of every fit the adaptive loop makes."""
+    fits = []
+
+    def recording(values, W, config, beta0=None):
+        res = fit_log_field(values, W, config, beta0=beta0)
+        fits.append((W, np.log(values), res))
+        return res
+
+    monkeypatch.setattr(adaptive, "fit_log_field", recording)
+    fit_adaptive(sub, initial, cfg)
+    return fits
+
+
+def test_adaptive_designs_certified_in_few_newton_steps(monkeypatch):
+    # the 12 designs of the 2x2 box benchmark (rounds 0-2 per subdomain) and
+    # the rounds of the adaptive 1D step run; proximal gradient needed 260
+    # to 3,510 iterations on them
+    box = box_field_2d()
+    box_cfg = AdaptiveConfig(
+        k_top=51, m_q=3, eta=0.5, m_max=306, max_rounds=3, elastic=BOX_ELASTIC,
+        offsets=((0.0, 0.0), (-0.25, 0.0), (0.25, 0.0)),
+    )
+    runs = []
+    for sub in make_partition(box.mesh, 2, 2).subdomain_fields(box):
+        fits = _recorded_fits(monkeypatch, sub, centroid_dictionary(sub.centroids, 0.031), box_cfg)
+        assert [W.shape for W, _, _ in fits] == [(256, 256), (256, 409), (256, 562)]
+        runs += [(fit_, BOX_ELASTIC) for fit_ in fits]
+    step = step_field_1d(16).whole()
+    step_cfg = AdaptiveConfig(k_top=1, m_max=6, eta=0.5, m_q=3, max_rounds=10, elastic=STEP_ELASTIC)
+    fits = _recorded_fits(monkeypatch, step, centroid_dictionary(step.centroids, 0.0019), step_cfg)
+    assert [W.shape for W, _, _ in fits] == [(16, 16), (16, 19), (16, 22)]
+    runs += [(fit_, STEP_ELASTIC) for fit_ in fits]
+
+    for (W, y, res), cfg in runs:
+        assert res.converged and 1 <= res.iterations <= 25
+        assert duality_gap(W, y, res.beta, cfg) <= GAP_RTOL * res.objective
