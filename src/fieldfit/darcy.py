@@ -4,8 +4,12 @@ The 2D mesh is a structured triangulation: each rectangular cell is split
 along its lower-left to upper-right diagonal, which keeps assembly and point
 location deterministic.  The coefficient is sampled at element centroids
 (one-point quadrature), so a continuous surrogate is consumed directly, with
-no projection onto the mesh.  In 1D the elements are intervals with linear
-basis functions and the tridiagonal system is solved directly.
+no projection onto the mesh.  On this mesh the P1 stiffness matrix is
+exactly a 5-point stencil: each right triangle couples only the ends of its
+two legs, so the matrix is written straight into CSR from the per-axis node
+coordinates, and centroids, areas and faces are read off those coordinates
+too.  In 1D the elements are intervals with linear basis functions and the
+reduced tridiagonal system is solved by LAPACK's ``dptsv``.
 
 Every 2D system is solved by conjugate gradients preconditioned by one
 symmetric multigrid V(2,2) cycle (MGCG, Tatebe 1993).  Halving the grid
@@ -25,12 +29,21 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .io import _write_text
 
 FACES_2D = ("left", "right", "bottom", "top")
 FACES_1D = ("left", "right")
+# the one triangle each face edge belongs to, indexed into the
+# (row, column, lower/upper) triangle grid along the face
+_FACE_OWNER = {
+    "left": (slice(None), 0, 1),
+    "right": (slice(None), -1, 0),
+    "bottom": (0, slice(None), 0),
+    "top": (-1, slice(None), 1),
+}
 
 # 2D systems: CG to this relative residual, preconditioned by one V(2,2)
 # cycle whose coarsest level (at most _COARSEST unknowns) is factorized
@@ -63,35 +76,52 @@ class Triangulation:
         return 2
 
     def centroids(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return p.mean(axis=1)
+        return self._kept(_full_centroids(*_axes(self)))
 
     def areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        xs, ys = _axes(self)
+        cell = 0.5 * (np.diff(xs) * np.diff(ys)[:, None])
+        return self._kept(np.repeat(cell.ravel(), 2))
+
+    def _kept(self, full: np.ndarray) -> np.ndarray:
+        """The kept triangles' rows of an array over all 2*nx*ny triangles."""
+        return full if self.tri_kept.all() else full[self.tri_kept]
 
     def face_nodes(self, face: str) -> np.ndarray:
-        x, y = self.nodes[:, 0], self.nodes[:, 1]
+        xs, ys = _axes(self)
         (x0, x1), (y0, y1) = self.bounds
-        sel = {
-            "left": x == x0,
-            "right": x == x1,
-            "bottom": y == y0,
-            "top": y == y1,
-        }
-        if face not in sel:
+        if face in ("left", "right"):
+            i = np.flatnonzero(xs == (x0 if face == "left" else x1))
+            j = np.arange(ys.size)
+        elif face in ("bottom", "top"):
+            i = np.arange(xs.size)
+            j = np.flatnonzero(ys == (y0 if face == "bottom" else y1))
+        else:
             raise ValueError(f"unknown face {face!r}; expected one of {FACES_2D}")
-        return np.flatnonzero(sel[face])
+        return (j[:, None] * xs.size + i).ravel()
 
-    def boundary_edges(self) -> np.ndarray:
-        """Edges that belong to exactly one kept triangle, as node pairs."""
-        t = self.triangles
-        edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        edges = np.sort(edges, axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
-        return uniq[counts == 1]
+
+def _axes(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+    """Node coordinates along x and along y, read off the node grid."""
+    nx = tri.counts[0]
+    return tri.nodes[: nx + 1, 0], tri.nodes[:: nx + 1, 1]
+
+
+def _full_centroids(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Centroids of all 2*nx*ny triangles, in the order of ``triangulate``.
+
+    Each coordinate is summed as ((a + b) + c) / 3 over the corners in
+    triangle order, as ``nodes[triangles].mean(axis=1)`` does, so the two
+    agree bit for bit.
+    """
+    xa, xb, ya, yb = xs[:-1], xs[1:], ys[:-1, None], ys[1:, None]
+    out = np.empty((ya.size, xa.size, 2, 2))
+    # lower triangle (00, 10, 11), upper triangle (00, 11, 01)
+    out[:, :, 0, 0] = ((xa + xb) + xb) / 3
+    out[:, :, 0, 1] = ((ya + ya) + yb) / 3
+    out[:, :, 1, 0] = ((xa + xb) + xa) / 3
+    out[:, :, 1, 1] = ((ya + yb) + yb) / 3
+    return out.reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -155,7 +185,7 @@ def triangulate(nx: int, ny: int, bounds, holes=()) -> Triangulation:
 
     kept = np.ones(triangles.shape[0], dtype=bool)
     if holes:
-        cent = nodes[triangles].mean(axis=1)
+        cent = _full_centroids(xs, ys)
         for cx, cy, r in holes:
             kept &= (cent[:, 0] - cx) ** 2 + (cent[:, 1] - cy) ** 2 > r**2
         if not np.any(kept):
@@ -264,21 +294,19 @@ def _as_func(value):
 def solve_darcy(problem: DarcyProblem) -> PressureSolution:
     """Assemble and solve the P1 system for the pressure.
 
-    ``diagnostics`` holds ``method`` ("cg" in 2D, "direct" in 1D, "none"
-    without free nodes), ``iterations``, ``levels`` (multigrid levels,
-    1 for a direct solve) and ``residual`` (relative, of the reduced system).
+    The matrix is the 5-point stencil of ``_assemble_2d`` in 2D and the
+    tridiagonal matrix of ``_assemble_1d`` in 1D; ``system`` holds it in
+    CSR, with the load vector, before Dirichlet nodes are removed.  2D
+    systems are solved by multigrid-preconditioned CG, 1D systems by
+    LAPACK ``dptsv``.  ``diagnostics`` holds ``method`` ("cg" in 2D,
+    "direct" in 1D, "none" without free nodes), ``iterations``, ``levels``
+    (multigrid levels, 1 for a direct solve) and ``residual`` (relative, of
+    the reduced system).
     """
-    if problem.mesh.dim == 1:
-        A, b = _assemble_1d(problem)
-    else:
-        A, b = _assemble_2d(problem)
     mesh = problem.mesh
-
-    if mesh.dim == 1:
-        active = np.ones(mesh.n_nodes, dtype=bool)
-    else:
-        active = np.zeros(mesh.n_nodes, dtype=bool)
-        active[mesh.triangles.ravel()] = True
+    A, b = _assemble_1d(problem) if mesh.dim == 1 else _assemble_2d(problem)
+    # a node is active when a kept element touches it, i.e. its row is stored
+    active = np.diff(A.indptr) > 0
 
     x = np.zeros(mesh.n_nodes)
     dir_mask = np.zeros(mesh.n_nodes, dtype=bool)
@@ -292,9 +320,8 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
         raise NumericalError("no Dirichlet nodes: the system is singular")
 
     free = active & ~dir_mask
-    A_csr = A.tocsr()
-    rhs = b - A_csr @ x
-    Aff = A_csr[free][:, free]
+    rhs = b - A @ x
+    Aff = A[free][:, free]
     bf = rhs[free]
 
     n_free = int(free.sum())
@@ -302,7 +329,9 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
         method, iterations, levels, rel_res = "none", 0, 0, 0.0
     else:
         if mesh.dim == 1:
-            xf = spla.spsolve(Aff.tocsc(), bf)
+            _, _, xf, info = lapack.dptsv(Aff.diagonal(), Aff.diagonal(1), bf)
+            if info != 0:
+                raise NumericalError(f"tridiagonal solve failed: LAPACK dptsv info={info}")
             method, iterations, levels = "direct", 1, 1
         else:
             extent = [hi - lo for lo, hi in mesh.bounds]
@@ -321,7 +350,7 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
         diagnostics={
             "method": method, "iterations": iterations, "levels": levels, "residual": rel_res,
         },
-        system=(A_csr, b),
+        system=(A, b),
     )
 
 
@@ -438,10 +467,22 @@ def _pcg(A, b, levels, coarsest):
 
 
 def _assemble_2d(problem: DarcyProblem):
+    """P1 stiffness matrix as a 5-point stencil in CSR, and the load vector.
+
+    With the coefficient sampled once per triangle, a right triangle with
+    legs dx and dy couples only the two ends of each leg: by k dy / (2 dx)
+    along its x-leg and k dx / (2 dy) along its y-leg, while its hypotenuse
+    coupling is exactly zero.  So an x-edge of the mesh collects the lower
+    triangle of the cell above it and the upper triangle of the cell below
+    it, and a y-edge the upper triangle of the cell to its right and the
+    lower triangle of the cell to its left.  Removed triangles carry k = 0;
+    a zero coupling and the row of a node without kept triangles are not
+    stored.  Each row holds its south, west, centre, east and north
+    entries, in column order.
+    """
     mesh: Triangulation = problem.mesh
-    tris = mesh.triangles
-    p = mesh.nodes[tris]
-    areas = mesh.areas()
+    nx, ny = mesh.counts
+    xs, ys = _axes(mesh)
     cent = mesh.centroids()
 
     k = np.asarray(problem.coefficient(cent), dtype=float)
@@ -449,33 +490,65 @@ def _assemble_2d(problem: DarcyProblem):
         j = int(np.argmax(~(k > 0) | ~np.isfinite(k)))
         raise NumericalError(f"coefficient sample at triangle {j} is not positive: {k[j]}")
 
-    # P1 gradient coefficients: grad(lambda_i) = (bvec_i, cvec_i) / (2 A)
-    bvec = np.stack([p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]], axis=1)
-    cvec = np.stack([p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]], axis=1)
+    # per cell (row j, column i): [..., 0] lower triangle, [..., 1] upper
+    kt = _per_cell(mesh, k)
+    dx, dy = np.diff(xs), np.diff(ys)[:, None]
+    leg_x = dy / (2.0 * dx)
+    leg_y = dx / (2.0 * dy)
+    wx = np.zeros((ny + 1, nx))  # x-edge from node (i, j) to (i + 1, j)
+    wx[:-1] += kt[..., 0] * leg_x
+    wx[1:] += kt[..., 1] * leg_x
+    wy = np.zeros((ny, nx + 1))  # y-edge from node (i, j) to (i, j + 1)
+    wy[:, 1:] += kt[..., 0] * leg_y
+    wy[:, :-1] += kt[..., 1] * leg_y
 
-    scale = k / (4.0 * areas)
-    local = (bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]) * scale[:, None, None]
+    n = mesh.n_nodes
+    stencil = np.zeros((ny + 1, nx + 1, 5))
+    stencil[1:, :, 0] = -wy
+    stencil[:, 1:, 1] = -wx
+    stencil[:, :-1, 3] = -wx
+    stencil[:-1, :, 4] = -wy
+    stencil[..., 2] = -stencil.sum(axis=2)
+    stencil = stencil.reshape(n, 5)
+    stored = stencil != 0.0
+    cols = np.arange(n)[:, None] + np.array([-(nx + 1), -1, 0, 1, nx + 1])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    A = sp.csr_matrix((stencil[stored], cols[stored], indptr), shape=(n, n))
 
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-
-    b = np.zeros(mesh.n_nodes)
+    # each triangle sends a third of its source integral to each corner
     f = np.asarray(_as_func(problem.source)(cent), dtype=float)
-    np.add.at(b, tris.ravel(), np.repeat(f * areas / 3.0, 3))
+    share = _per_cell(mesh, f * mesh.areas() / 3.0)
+    both = share[..., 0] + share[..., 1]
+    b = np.zeros((ny + 1, nx + 1))
+    b[:-1, :-1] += both
+    b[1:, 1:] += both
+    b[:-1, 1:] += share[..., 0]
+    b[1:, :-1] += share[..., 1]
+    b = b.ravel()
 
-    if problem.neumann:
-        bedges = mesh.boundary_edges()
-        for face, data in problem.neumann.items():
-            on_face = np.isin(bedges, mesh.face_nodes(face))
-            edges = bedges[on_face.all(axis=1)]
-            if edges.size == 0:
-                continue
-            mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-            lengths = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
-            q = np.asarray(_as_func(data)(mids), dtype=float)
-            np.add.at(b, edges.ravel(), np.repeat(0.5 * q * lengths, 2))
+    for face, data in problem.neumann.items():
+        nodes = mesh.face_nodes(face)
+        on = mesh.tri_kept.reshape(ny, nx, 2)[_FACE_OWNER[face]]
+        lo, hi = nodes[:-1][on], nodes[1:][on]
+        if lo.size == 0:
+            continue
+        mids = 0.5 * (mesh.nodes[lo] + mesh.nodes[hi])
+        lengths = np.linalg.norm(mesh.nodes[hi] - mesh.nodes[lo], axis=1)
+        flux = 0.5 * np.asarray(_as_func(data)(mids), dtype=float) * lengths
+        b[lo] += flux
+        b[hi] += flux
     return A, b
+
+
+def _per_cell(mesh: Triangulation, values: np.ndarray) -> np.ndarray:
+    """Per-kept-triangle values on the (ny, nx, 2) grid of all triangles, 0 elsewhere."""
+    nx, ny = mesh.counts
+    if not mesh.tri_kept.all():
+        full = np.zeros(mesh.tri_kept.size)
+        full[mesh.tri_kept] = values
+        values = full
+    return values.reshape(ny, nx, 2)
 
 
 def _assemble_1d(problem: DarcyProblem):
@@ -491,14 +564,15 @@ def _assemble_1d(problem: DarcyProblem):
 
     w = k / h
     diag = np.zeros(n + 1)
-    np.add.at(diag, np.arange(n), w)
-    np.add.at(diag, np.arange(1, n + 1), w)
-    A = sp.diags([-w, diag, -w], offsets=[-1, 0, 1], format="coo")
+    diag[:-1] += w
+    diag[1:] += w
+    A = sp.diags([-w, diag, -w], offsets=[-1, 0, 1], format="csr")
 
     b = np.zeros(n + 1)
     f = np.asarray(_as_func(problem.source)(mids[:, None]), dtype=float)
-    np.add.at(b, np.arange(n), 0.5 * f * h)
-    np.add.at(b, np.arange(1, n + 1), 0.5 * f * h)
+    half = 0.5 * f * h
+    b[:-1] += half
+    b[1:] += half
 
     for face, data in problem.neumann.items():
         node = mesh.face_nodes(face)[0]

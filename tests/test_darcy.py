@@ -14,8 +14,9 @@ from fieldfit.darcy import (
 )
 from fieldfit.elastic_net import ElasticNetConfig
 from fieldfit.errors import NumericalError
-from fieldfit.fields import box_field_2d, relative_l2_error, smooth_field_2d
+from fieldfit.fields import box_field_2d, relative_l2_error, smooth_field_2d, step_field_1d
 from fieldfit.partition import DictionarySpec, fit_parallel, make_partition
+from oracles import p1_assembly_2d
 
 
 def _ones(p):
@@ -57,6 +58,77 @@ def test_large_1d_system_solves_directly():
     assert sol.diagnostics["residual"] <= 1e-12
     # the condition number grows like n^2 ~ 6e8, so nodal rounding reaches ~3e-11
     np.testing.assert_allclose(sol.values, 1 - mesh.nodes, rtol=0, atol=1e-9)
+
+
+def test_1d_tridiagonal_solve_matches_sparse_lu():
+    field = step_field_1d()
+    mesh = line_mesh(2**14, field.mesh.bounds[0])
+    sol = solve_darcy(_left_right(mesh, field.piecewise_eval))
+    assert (sol.diagnostics["method"], sol.diagnostics["iterations"]) == ("direct", 1)
+    A, b = sol.system
+    free = slice(1, -1)
+    rhs = b - A @ np.where(np.arange(mesh.n_nodes) == 0, 1.0, 0.0)
+    direct = spla.spsolve(A.tocsc()[free, free], rhs[free])
+    err = np.linalg.norm(sol.values[free] - direct) / np.linalg.norm(direct)
+    # both solves leave a 1e-14 residual; against a long-double solve of
+    # this system, the tridiagonal solve is off by 6.1e-12 and SuperLU by
+    # 1.7e-12, so the two agree to 6.8e-12
+    assert sol.diagnostics["residual"] <= 1e-13
+    assert err <= 1e-11
+
+
+def _k_trig(p):
+    return np.exp(2.0 * np.sin(p[:, 0] / 37.0) * np.cos(p[:, 1] / 53.0))
+
+
+@pytest.mark.parametrize(
+    "counts, bounds, holes, coefficient",
+    [
+        ((16, 16), ((0, 1), (0, 1)), (), box_field_2d().piecewise_eval),
+        ((60, 220), ((0.0, 365.76), (0.0, 670.56)), (), _k_trig),
+        ((200, 200), ((0, 1), (0, 1)), ((0.5, 0.5, 0.15),), box_field_2d().piecewise_eval),
+    ],
+)
+def test_stencil_matches_element_assembly(counts, bounds, holes, coefficient):
+    tri = triangulate(*counts, bounds, holes=holes)
+    (x0, x1), (y0, y1) = tri.bounds
+    problem = DarcyProblem(
+        mesh=tri,
+        coefficient=coefficient,
+        dirichlet={"left": 1.0, "right": 0.0},
+        neumann={"top": lambda p: np.sin(p[:, 0] / (x1 - x0)), "bottom": 0.25},
+        source=lambda p: 1.0 + p[:, 1] / (y1 - y0),
+    )
+    A, b = solve_darcy(problem).system
+    A_ref, b_ref = p1_assembly_2d(problem)
+    eps = np.finfo(float).eps
+    assert np.count_nonzero(A.data) == A.nnz
+    A_ref.eliminate_zeros()
+    assert A_ref.nnz == A.nnz
+    assert abs(A - A_ref).max() <= 4 * eps * abs(A_ref).max()
+    assert np.max(np.abs(b - b_ref)) <= 4 * eps * np.max(np.abs(b_ref))
+
+
+@pytest.mark.parametrize(
+    "counts, bounds, holes",
+    [
+        ((200, 200), ((0, 1), (0, 1)), ((0.5, 0.5, 0.15), (0.1, 0.9, 0.2))),
+        ((60, 220), ((0.0, 365.76), (0.0, 670.56)), ((100.0, 300.0, 60.0),)),
+        ((1000, 10), ((-1.3, 2.7), (0.1, 0.35)), ((0.7, 0.2, 0.05),)),
+        ((7, 3), ((0.3, 0.7), (-2.0, 5.0)), ()),
+    ],
+)
+def test_geometry_matches_gather_formulas(counts, bounds, holes):
+    tri = triangulate(*counts, bounds, holes=holes)
+    p = tri.nodes[tri.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    assert np.array_equal(tri.centroids(), p.mean(axis=1))
+    assert np.array_equal(tri.areas(), 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+    (x0, x1), (y0, y1) = tri.bounds
+    x, y = tri.nodes[:, 0], tri.nodes[:, 1]
+    on = {"left": x == x0, "right": x == x1, "bottom": y == y0, "top": y == y1}
+    for face, mask in on.items():
+        assert np.array_equal(tri.face_nodes(face), np.flatnonzero(mask))
 
 
 def test_manufactured_solution_second_order():
