@@ -287,6 +287,10 @@ def cmd_darcy(args) -> int:
     mesh0 = ref.mesh if isinstance(ref, FieldData) else ref
     if mesh0.dim != 2:
         raise ConfigError("the darcy command supports 2-D fields only")
+    if data is not None and surrogate is not None:
+        dom, sur_dom = data.mesh.bounds, surrogate.partition.mesh.bounds
+        if len(dom) != len(sur_dom) or any(a < c or b > d for (a, b), (c, d) in zip(dom, sur_dom)):
+            raise DataError(f"the field's domain {dom} is not inside the surrogate's {sur_dom}")
     nx = mesh0.counts[0] if args.nx is None else args.nx
     ny = mesh0.counts[1] if args.ny is None else args.ny
     sizes = []

@@ -32,6 +32,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import NumericalError
+from .geometry import as_points, grid_index, grid_points
 from .io import _write_text
 
 FACES_2D = ("left", "right", "bottom", "top")
@@ -169,8 +170,7 @@ def triangulate(nx: int, ny: int, bounds, holes=()) -> Triangulation:
     b = np.asarray(bounds, dtype=float).reshape(2, 2)
     xs = np.linspace(b[0, 0], b[0, 1], nx + 1)
     ys = np.linspace(b[1, 0], b[1, 1], ny + 1)
-    xg, yg = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([xg.ravel(), yg.ravel()])
+    nodes = grid_points((xs, ys))
 
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
     n00 = (jj * (nx + 1) + ii).ravel()
@@ -242,9 +242,7 @@ class PressureSolution:
 
     def interpolate(self, points) -> np.ndarray:
         if self.mesh.dim == 1:
-            return np.interp(
-                np.asarray(points, dtype=float).ravel(), self.mesh.nodes, self.values
-            )
+            return np.interp(as_points(points, 1)[:, 0], self.mesh.nodes, self.values)
         return _interp_p1(self.mesh, self.values, points)
 
     def boundary_reaction(self, face: str) -> float:
@@ -256,14 +254,11 @@ class PressureSolution:
 
 
 def _interp_p1(tri: Triangulation, values: np.ndarray, points) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = as_points(points, 2)
     nx, ny = tri.counts
     (x0, x1), (y0, y1) = tri.bounds
     dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
-    if np.any(pts[:, 0] < x0) or np.any(pts[:, 0] > x1) or np.any(pts[:, 1] < y0) or np.any(pts[:, 1] > y1):
-        raise ValueError("interpolation point outside the mesh")
-    ix = np.minimum(((pts[:, 0] - x0) / dx).astype(int), nx - 1)
-    iy = np.minimum(((pts[:, 1] - y0) / dy).astype(int), ny - 1)
+    iy, ix = np.divmod(grid_index(pts, _axes(tri)), nx)
     xi = (pts[:, 0] - x0) / dx - ix
     yi = (pts[:, 1] - y0) / dy - iy
     # barycentric weights on the corners 00, 10, 01, 11 of the triangle

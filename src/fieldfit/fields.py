@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, Mesh, build_mesh
+from .geometry import Box, Mesh, build_mesh, grid_index, uniform_edges
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,8 @@ class FieldData:
         return h.hexdigest()
 
     def piecewise_eval(self, points) -> np.ndarray:
-        """Staircase evaluation: the value of the cell containing each point."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        mesh = self.mesh
-        idx = np.zeros(pts.shape[0], dtype=int)
-        stride = 1
-        for k in range(mesh.dim):
-            lo, hi = mesh.bounds[k]
-            if np.any(pts[:, k] < lo) or np.any(pts[:, k] > hi):
-                j = int(np.argmax((pts[:, k] < lo) | (pts[:, k] > hi)))
-                raise ValueError(f"point index {j} outside domain along axis {k}")
-            i = np.minimum((pts[:, k] - lo) / mesh.cell_size[k], mesh.counts[k] - 1).astype(int)
-            idx += stride * i
-            stride *= mesh.counts[k]
-        return self.values[idx]
+        """Staircase evaluation: the value of the (half-open) cell containing each point."""
+        return self.values[grid_index(points, uniform_edges(self.mesh.counts, self.mesh.bounds))]
 
     def subdomain(self, box: Box) -> "SubdomainField":
         """Cells whose centroids lie in the (half-open) box."""

@@ -1,9 +1,13 @@
-"""Structured 1D/2D cell meshes and half-open boxes.
+"""Structured 1D/2D cell meshes, half-open boxes and grid location.
 
 Cells are congruent axis-aligned intervals (1D) or rectangles (2D), indexed
 row-major with the x index fastest: ``index = iy * nx + ix``.  Boxes carry a
 per-axis half-open flag on the upper face so that a point lying on a face
 shared by two boxes belongs to exactly one of them.
+
+Point arrays are shaped by one rule, :func:`as_points`, and subdomain
+dispatch, staircase lookup and P1 interpolation locate points by one
+search over per-axis edges, :func:`grid_index`, under that half-open rule.
 """
 
 from __future__ import annotations
@@ -13,6 +17,58 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+
+def as_points(points, dim: int) -> np.ndarray:
+    """Points as an (N, dim) float array; a 1D input is one point or N scalars."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :] if pts.size == dim else pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"points of shape {np.shape(points)} are not points of dim {dim}")
+    return pts
+
+
+def grid_points(axes) -> np.ndarray:
+    """The points of the tensor grid on 1D or 2D coordinates, row-major with x fastest."""
+    if len(axes) == 1:
+        return axes[0][:, None]
+    out = np.empty((len(axes[1]), len(axes[0]), 2))
+    out[..., 0], out[..., 1] = axes[0], np.reshape(axes[1], (-1, 1))
+    return out.reshape(-1, 2)
+
+
+def uniform_edges(counts, bounds) -> tuple[np.ndarray, ...]:
+    """Per-axis edges of ``counts[k]`` equal cells over ``bounds[k]``."""
+    return tuple(lo + (hi - lo) * np.arange(n + 1) / n for n, (lo, hi) in zip(counts, bounds))
+
+
+def grid_index(points, edges) -> np.ndarray:
+    """Row-major index (x fastest) of the grid cell holding each point.
+
+    ``edges`` holds one ascending array of cell edges per axis.  Cells are
+    half-open, [e_i, e_i+1), except that the outer upper face belongs to the
+    last cell: the rule of a partition's boxes.  A point outside the grid or
+    with a non-finite coordinate raises ``ValueError`` naming its index.
+    """
+    pts = as_points(points, len(edges))
+    lo, hi = (np.array([e[i] for e in edges]) for i in (0, -1))
+    # an axis's min and max are NaN if one of its coordinates is, and then fail
+    if pts.size and not all(a <= x.min() and x.max() <= b for a, b, x in zip(lo, hi, pts.T)):
+        j = int(np.argmin(np.all((pts >= lo) & (pts <= hi), axis=1)))
+        raise ValueError(f"point index {j} = {pts[j].tolist()} lies outside the grid's box")
+    index = np.zeros(pts.shape[0], dtype=np.intp)
+    for k in reversed(range(len(edges))):
+        e, x, n = edges[k], pts[:, k], len(edges[k]) - 1
+        if n == 1:
+            continue
+        # guess each cell from uniform edges and search only where the guess is wrong
+        cell = np.minimum(((x - e[0]) * (n / (e[-1] - e[0]))).astype(np.intp), n - 1)
+        miss = np.flatnonzero((x < e[cell]) | ((x >= e[cell + 1]) & (cell < n - 1)))
+        cell[miss] = np.minimum(np.searchsorted(e, x[miss], side="right") - 1, n - 1)
+        index *= n
+        index += cell
+    return index
 
 
 @dataclass(frozen=True)
@@ -40,9 +96,7 @@ class Box:
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an (n, dim) array of points."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None] if self.dim == 1 else pts[None, :]
+        pts = as_points(points, self.dim)
         mask = np.ones(pts.shape[0], dtype=bool)
         for k in range(self.dim):
             mask &= pts[:, k] >= self.lo[k]
@@ -97,14 +151,8 @@ class Mesh:
     @cached_property
     def centroids(self) -> np.ndarray:
         """(n_cells, dim) array of cell centroids in row-major cell order."""
-        axes = [
-            b[0] + (np.arange(n) + 0.5) * d
-            for n, b, d in zip(self.counts, self.bounds, self.cell_size)
-        ]
-        if self.dim == 1:
-            return axes[0][:, None]
-        xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
-        return np.column_stack([xg.ravel(), yg.ravel()])
+        cells = zip(self.counts, self.bounds, self.cell_size)
+        return grid_points([b[0] + (np.arange(n) + 0.5) * d for n, b, d in cells])
 
     @property
     def box(self) -> Box:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import io
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,8 @@ from .adaptive import AdaptiveConfig, RoundReport, fit_adaptive
 from .blas import one_blas_thread
 from .errors import DataError, FieldfitError
 from .fields import FieldData, SubdomainField
-from .geometry import Box, Mesh, build_mesh, locate_many
+from .geometry import Box, Mesh, as_points, build_mesh, grid_index, uniform_edges
+from .geometry import locate_many  # noqa: F401 - the bench tracer wraps it under this module
 from .io import _read_text, _write_text
 from .rbf import LocalSurrogate, RbfDictionary, centroid_dictionary, lattice_dictionary
 
@@ -56,33 +58,13 @@ def make_partition(mesh: Mesh, px: int, py: int = 1) -> Partition:
         if n % p != 0:
             raise ValueError(f"p{axis}={p} does not divide n{axis}={n}")
 
-    per_axis = []
-    for k, (n, p) in enumerate(zip(mesh.counts, shape)):
-        lo, hi = mesh.bounds[k]
-        edges = lo + (hi - lo) * np.arange(p + 1) / p
-        per_axis.append(edges)
-
-    boxes = []
-    if mesh.dim == 1:
-        for i in range(shape[0]):
-            boxes.append(
-                Box(
-                    lo=(float(per_axis[0][i]),),
-                    hi=(float(per_axis[0][i + 1]),),
-                    open_hi=(i < shape[0] - 1,),
-                )
-            )
-    else:
-        for j in range(shape[1]):
-            for i in range(shape[0]):
-                boxes.append(
-                    Box(
-                        lo=(float(per_axis[0][i]), float(per_axis[1][j])),
-                        hi=(float(per_axis[0][i + 1]), float(per_axis[1][j + 1])),
-                        open_hi=(i < shape[0] - 1, j < shape[1] - 1),
-                    )
-                )
-
+    edges = uniform_edges(shape, mesh.bounds)
+    # per axis, each interval as (lo, hi, upper face open); boxes run with x fastest
+    spans = [
+        [(e[i], e[i + 1], i < len(e) - 2) for i in range(len(e) - 1)]
+        for e in map(np.ndarray.tolist, edges)
+    ]
+    boxes = [Box(*zip(*cell[::-1])) for cell in itertools.product(*spans[::-1])]
     return Partition(mesh=mesh, shape=shape, boxes=tuple(boxes))
 
 
@@ -123,11 +105,8 @@ class GlobalSurrogate:
             raise ValueError("one local surrogate required per subdomain")
 
     def evaluate(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            dim = self.partition.mesh.dim
-            pts = pts[:, None] if dim == 1 else pts[None, :]
-        owner = locate_many(pts, self.partition.boxes)
+        pts = as_points(points, self.partition.mesh.dim)
+        owner = grid_index(pts, uniform_edges(self.partition.shape, self.partition.mesh.bounds))
         out = np.empty(pts.shape[0])
         for i in range(self.partition.n_subdomains):
             sel = owner == i
@@ -343,13 +322,8 @@ def _parse_surrogate(lines) -> GlobalSurrogate:
                 gens[m] = int(toks[dim + 2])
             except ValueError as exc:
                 raise DataError(f"malformed number at subdomain {i} row {m}: {exc}") from exc
-        locals_.append(
-            LocalSurrogate(
-                dictionary=RbfDictionary(centers=centers, widths=widths, generations=gens),
-                beta=beta,
-                log_transform=log_flag,
-            )
-        )
+        dictionary = RbfDictionary(centers=centers, widths=widths, generations=gens)
+        locals_.append(LocalSurrogate(dictionary=dictionary, beta=beta, log_transform=log_flag))
         line = next_line()
     if line.strip() != "end":
         raise DataError(f"surrogate file missing end marker, found {line!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import one_blas_thread
-from .geometry import Box
+from .geometry import Box, as_points, grid_points
 
 # log_features computes exponents in row blocks whose (rows, M) float64
 # array takes about 1 MB, so a block and its one scratch array stay small;
@@ -51,16 +51,6 @@ _DROP_LOG_MARGIN = 53.0 * np.log(2.0) + 2.0
 _GEMM_ROWS = 512
 
 
-def _as_points(points, dim: int) -> np.ndarray:
-    """Points as an (N, dim) float array; a 1D input is one point or N scalars."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :] if pts.size == dim else pts[:, None]
-    if pts.shape[1] != dim:
-        raise ValueError(f"points have dim {pts.shape[1]}, dictionary has dim {dim}")
-    return pts
-
-
 @dataclass(frozen=True)
 class RbfDictionary:
     """Ordered Gaussian basis set on one subdomain.
@@ -83,9 +73,9 @@ class RbfDictionary:
             raise ValueError("centers and widths length mismatch")
         if centers.shape[0] == 0:
             raise ValueError("dictionary must contain at least one entry")
-        if np.any(widths <= 0):
-            m = int(np.argmax(widths <= 0))
-            raise ValueError(f"width of entry {m} is not positive: {widths[m]}")
+        ok = np.isfinite(centers).all(axis=1) & np.isfinite(widths) & (widths > 0)
+        if not ok.all():
+            raise ValueError(f"entry {np.argmin(ok)} needs a finite centre and a width > 0")
         gens = self.generations
         gens = np.zeros(centers.shape[0], dtype=int) if gens is None else np.asarray(gens, dtype=int)
         if gens.shape[0] != centers.shape[0]:
@@ -114,7 +104,7 @@ class RbfDictionary:
 
     def log_features(self, points) -> np.ndarray:
         """Exponents -||x - c||^2 / (2 sigma^2) as an (N, M) array."""
-        pts = _as_points(points, self.dim)
+        pts = as_points(points, self.dim)
         out = np.empty((pts.shape[0], len(self)))
         return _exponents(pts, self.centers, -1.0 / (2.0 * self.widths**2), out)
 
@@ -399,7 +389,7 @@ def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
         raise ValueError(
             f"coefficient length {beta.shape} does not match dictionary size {len(dictionary)}"
         )
-    pts = _as_points(points, dictionary.dim)
+    pts = as_points(points, dictionary.dim)
     out = np.empty(pts.shape[0])
     if pts.shape[0] == 0:
         return out
@@ -472,6 +462,8 @@ class LocalSurrogate:
         beta = np.asarray(self.beta, dtype=float).copy()
         if beta.shape[0] != len(self.dictionary):
             raise ValueError("coefficient length does not match dictionary size")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError(f"coefficient of entry {np.argmin(np.isfinite(beta))} is not finite")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
 
@@ -494,9 +486,5 @@ def lattice_dictionary(box: Box, g: int, sigma: float) -> RbfDictionary:
         box.lo[k] + (np.arange(g) + 0.5) * (box.hi[k] - box.lo[k]) / g
         for k in range(box.dim)
     ]
-    if box.dim == 1:
-        centers = axes[0][:, None]
-    else:
-        xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
-        centers = np.column_stack([xg.ravel(), yg.ravel()])
+    centers = grid_points(axes)
     return RbfDictionary(centers=centers, widths=np.full(centers.shape[0], float(sigma)))

@@ -247,6 +247,18 @@ def test_darcy_sweep_reports_slope(tmp_path, small_field):
         assert float(fields["residual"]) <= 1e-10
 
 
+@pytest.mark.parametrize("extra", [[], ["--sweep", "4,8"]], ids=["plain", "sweep"])
+def test_darcy_field_outside_surrogate_domain_is_data_error(tmp_path, small_field, capsys, extra):
+    sur = tmp_path / "sur.txt"
+    main(_fit_args(small_field, sur))
+    wide = tmp_path / "wide.txt"
+    write_field(FieldData(mesh=build_mesh(2, (8, 4), ((0, 2), (0, 1))), values=np.ones(32)), wide)
+    rc = main(["darcy", "--field", str(wide), "--surrogate", str(sur), *extra])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "((0.0, 2.0), (0.0, 1.0))" in err and "((0.0, 1.0), (0.0, 1.0))" in err
+
+
 def test_darcy_requires_input(tmp_path):
     assert main(["darcy", "--out", str(tmp_path / "p.csv")]) == 2
 

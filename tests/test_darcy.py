@@ -359,3 +359,11 @@ def test_interpolate_rejects_outside_points():
     sol = solve_darcy(_left_right(tri, _ones))
     with pytest.raises(ValueError):
         sol.interpolate(np.array([[1.2, 0.5]]))
+
+
+def test_interpolate_rejects_flat_vector_of_two_points():
+    tri = triangulate(4, 4, ((0, 1), (0, 1)))
+    sol = solve_darcy(_left_right(tri, _ones))
+    np.testing.assert_array_equal(sol.interpolate(np.array([0.25, 0.5])), sol.interpolate([[0.25, 0.5]]))
+    with pytest.raises(ValueError):
+        sol.interpolate(np.array([0.25, 0.5, 0.75, 0.5]))

@@ -69,6 +69,24 @@ def test_piecewise_eval_staircase():
         field.piecewise_eval(np.array([[1.5]]))
 
 
+@pytest.mark.parametrize(
+    "counts, bounds", [((12,), ((0.1, 0.7),)), ((6, 10), ((-0.3, 1.7), (0.2, 0.9)))]
+)
+def test_piecewise_eval_matches_floor_formula_inside_cells(counts, bounds):
+    mesh = build_mesh(len(counts), counts, bounds)
+    rng = np.random.default_rng(11)
+    field = FieldData(mesh=mesh, values=rng.uniform(1, 2, mesh.n_cells))
+    cells = rng.integers(0, mesh.n_cells, 4000)
+    pts = mesh.centroids[cells] + rng.uniform(-0.49, 0.49, (4000, mesh.dim)) * mesh.cell_size
+    idx = np.zeros(len(pts), dtype=int)
+    stride = 1
+    for k, ((lo, _), n, h) in enumerate(zip(mesh.bounds, mesh.counts, mesh.cell_size)):
+        idx += stride * np.minimum((pts[:, k] - lo) / h, n - 1).astype(int)
+        stride *= n
+    np.testing.assert_array_equal(idx, cells)
+    np.testing.assert_array_equal(field.piecewise_eval(pts), field.values[idx])
+
+
 def test_subdomain_slicing_half_open():
     field = box_field_2d(4, 4)
     left = field.subdomain(Box(lo=(0, 0), hi=(0.5, 1.0), open_hi=(True, False)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fieldfit.geometry import Box, build_mesh, locate_many
+from fieldfit.geometry import Box, build_mesh, grid_index, locate_many
 
 
 def test_mesh_32x32_unit_square():
@@ -85,3 +85,16 @@ def test_locate_partition_no_double_membership():
 def test_box_validation():
     with pytest.raises(ValueError):
         Box(lo=(0.0,), hi=(0.0,), open_hi=(False,))
+
+
+def test_grid_index_is_a_search_per_axis_on_any_sorted_edges():
+    rng = np.random.default_rng(2)
+    edges = (np.cumsum(rng.uniform(0.01, 1.0, 41)), np.sort(rng.normal(size=9)))
+    pts = np.column_stack([rng.uniform(e[0], e[-1], 5000) for e in edges])
+    pts[:1000, 0] = rng.choice(edges[0], 1000)  # on the edges, outer faces included
+    pts[1000:2000, 1] = rng.choice(edges[1], 1000)
+    cells = [
+        np.minimum(np.searchsorted(e, pts[:, k], side="right") - 1, len(e) - 2)
+        for k, e in enumerate(edges)
+    ]
+    np.testing.assert_array_equal(grid_index(pts, edges), cells[1] * 40 + cells[0])

@@ -1,4 +1,5 @@
 import io as stdio
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from fieldfit.adaptive import AdaptiveConfig, fit_adaptive
 from fieldfit.elastic_net import ElasticNetConfig
 from fieldfit.errors import DataError
 from fieldfit.fields import FieldData, box_field_2d, step_field_1d
-from fieldfit.geometry import build_mesh, locate_many
+from fieldfit.geometry import build_mesh, grid_index, locate_many, uniform_edges
 from fieldfit.partition import (
     DictionarySpec,
     GlobalSurrogate,
@@ -18,6 +19,7 @@ from fieldfit.partition import (
     make_partition,
     save,
 )
+from fieldfit.rbf import LocalSurrogate, centroid_dictionary
 
 EN_2D = ElasticNetConfig(lam1=4.59e-4, lam2=1e-4, tol=1e-6, max_iters=2000)
 PLAIN_CFG = AdaptiveConfig(m_max=0, elastic=EN_2D)
@@ -75,6 +77,74 @@ def test_partition_centroid_map_matches_locate():
     part = make_partition(mesh, 2, 4)
     owner = locate_many(mesh.centroids, part.boxes)
     np.testing.assert_array_equal(owner, _cell_owner(part))
+
+
+@pytest.mark.parametrize(
+    "counts, bounds, grid",
+    [
+        ((12,), ((0.1, 0.7),), (1,)),
+        ((12,), ((0.1, 0.7),), (3,)),
+        ((16, 8), ((-0.3, 1.7), (0.2, 0.9)), (1, 1)),
+        ((16, 8), ((-0.3, 1.7), (0.2, 0.9)), (2, 2)),
+        ((16, 8), ((-0.3, 1.7), (0.2, 0.9)), (4, 2)),
+    ],
+    ids=["1", "3x1", "1x1", "2x2", "4x2"],
+)
+def test_grid_owner_matches_locate_many(counts, bounds, grid):
+    """Owners by per-axis search agree with the box scan on faces, corners and interiors."""
+    mesh = build_mesh(len(counts), counts, bounds)
+    part = make_partition(mesh, *grid)
+    rng = np.random.default_rng(5)
+    box_edges = [
+        np.unique([v for b in part.boxes for v in (b.lo[k], b.hi[k])]) for k in range(mesh.dim)
+    ]
+    # every corner: all combinations of box edges, outer faces included
+    corners = np.stack(np.meshgrid(*box_edges, indexing="ij"), axis=-1).reshape(-1, mesh.dim)
+    inside = rng.uniform([e[0] for e in box_edges], [e[-1] for e in box_edges], (20000, mesh.dim))
+    # points on every box edge (in 2D, along every face line)
+    faces = [inside[:500].copy() for _ in range(mesh.dim)]
+    for k, pts in enumerate(faces):
+        pts[:, k] = rng.choice(box_edges[k], 500)
+    pts = np.vstack([corners, inside, *faces])
+    owner = grid_index(pts, uniform_edges(part.shape, mesh.bounds))
+    np.testing.assert_array_equal(owner, locate_many(pts, part.boxes))
+
+
+def _hand_surrogate_1d():
+    """A 2-subdomain 1D surrogate with fixed coefficients, no fit."""
+    part = make_partition(step_field_1d(16).mesh, 2)
+    locals_ = tuple(
+        LocalSurrogate(centroid_dictionary(np.linspace(b.lo[0], b.hi[0], 5)[:, None], 0.004),
+                       np.linspace(-9.0, -2.0, 5) + i)
+        for i, b in enumerate(part.boxes)
+    )
+    return GlobalSurrogate(partition=part, locals=locals_)
+
+
+def test_flat_scalars_are_points_in_1d():
+    sur = _hand_surrogate_1d()
+    field = step_field_1d(16)
+    x = np.array([0.001, 0.02, 0.03])
+    np.testing.assert_array_equal(field.piecewise_eval(x), [1e-4, 0.1, 0.1])
+    for evaluate in (sur.evaluate, sur.locals[0].evaluate):
+        np.testing.assert_array_equal(evaluate(x), evaluate(x[:, None]))
+        assert evaluate(x).shape == (3,)
+    np.testing.assert_array_equal(sur.partition.boxes[0].contains_many(x), [True, False, False])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_points_raise_naming_the_index(bad):
+    x = np.array([0.001, 0.02, bad])
+    for evaluate in (_hand_surrogate_1d().evaluate, step_field_1d(16).piecewise_eval):
+        with pytest.raises(ValueError, match="index 2"):
+            evaluate(x)
+    field = box_field_2d(4, 4)
+    part = make_partition(field.mesh, 2, 2)
+    surrogate, _ = fit_parallel(field, part, PLAIN_CFG, DictionarySpec(sigma=0.3))
+    pts = np.array([[0.5, 0.5], [bad, 0.5]])
+    for evaluate in (surrogate.evaluate, field.piecewise_eval):
+        with pytest.raises(ValueError, match="index 1"):
+            evaluate(pts)
 
 
 def test_fit_parallel_1x1_matches_direct():
@@ -252,6 +322,10 @@ def test_load_rejects_truncation_and_bad_header():
         loads(text.replace("fieldfit-surrogate 1", "fieldfit-surrogate 99", 1))
 
 
+# the first dictionary entry: centre x, centre y, width, coefficient, generation
+ENTRY = r"(?m)^([-+\w.]+) ([-+\w.]+) ([-+\w.]+) ([-+\w.]+) 0$"
+
+
 @pytest.mark.parametrize(
     "old, new",
     [
@@ -259,8 +333,15 @@ def test_load_rejects_truncation_and_bad_header():
         ("grid 1 1", "grid 3 3"),
         ("grid 1 1", "grid 1 1 1"),
         ("meta config cfg", "meta k"),
+        (ENTRY, r"\1 \2 \3 nan 0"),
+        (ENTRY, r"\1 \2 \3 inf 0"),
+        (ENTRY, r"inf \2 \3 \4 0"),
+        (ENTRY, r"\1 nan \3 \4 0"),
+        (ENTRY, r"\1 \2 nan \4 0"),
+        (ENTRY, r"\1 \2 inf \4 0"),
     ],
-    ids=["version", "grid-divisor", "grid-arity", "meta-value"],
+    ids=["version", "grid-divisor", "grid-arity", "meta-value", "beta-nan", "beta-inf",
+         "centre-inf", "centre-nan", "width-nan", "width-inf"],
 )
 def test_load_malformed_input_is_data_error(old, new):
     field = box_field_2d(8, 8)
@@ -269,9 +350,9 @@ def test_load_malformed_input_is_data_error(old, new):
         field, part, PLAIN_CFG, DictionarySpec(sigma=0.3), metadata={"config": "cfg"}
     )
     text = dumps(surrogate)
-    assert old in text
+    assert re.search(old, text)
     with pytest.raises(DataError):
-        loads(text.replace(old, new, 1))
+        loads(re.sub(old, new, text, count=1))
 
 
 def test_mesh_free_reuse_on_other_grids():
