@@ -19,7 +19,7 @@ import numpy as np
 
 from .elastic_net import ElasticNetConfig, fit_log_field
 from .fields import SubdomainField, l2_misfit_parts
-from .io import _write_text
+from .io import write_text
 from .rbf import LocalSurrogate, RbfDictionary, shepard_features
 
 # new-center offsets per marked cell, in units of the cell size
@@ -121,12 +121,9 @@ def report_csv_row(r: RoundReport) -> str:
 
 def reports_to_csv(reports, sink, provenance: str | None = None) -> None:
     """Write round reports as CSV; timing stays isolated in its own column."""
-    lines = []
-    if provenance:
-        lines.append(f"# {provenance}")
-    lines.append(",".join(REPORT_CSV_COLUMNS))
-    lines.extend(report_csv_row(r) for r in reports)
-    _write_text(sink, "\n".join(lines) + "\n")
+    write_text(
+        sink, [",".join(REPORT_CSV_COLUMNS), *(report_csv_row(r) for r in reports)], provenance
+    )
 
 
 def residual_indicators(approx, sub: SubdomainField) -> np.ndarray:

@@ -3,8 +3,8 @@
 Commands: ``fit`` (adaptive surrogate construction), ``eval`` (sample a
 saved surrogate on a grid), ``darcy`` (pressure solves and error reports),
 ``verify-theory`` (step-interface error law), and ``preset`` (canned
-experiments).  Every output file starts with a provenance line echoing the
-exact configuration; timing lives in dedicated columns so reruns are
+experiments).  Every CSV and report starts with a provenance line echoing
+the exact configuration; timing lives in dedicated columns so reruns are
 byte-identical elsewhere.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
@@ -118,10 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_verify_theory)
 
     r = sub.add_parser("preset", help="run a canned experiment")
-    r.add_argument(
-        "name",
-        choices=("step1d", "case-uniform", "case-adaptive", "case-parallel", "spe10"),
-    )
+    r.add_argument("name", choices=tuple(PRESETS))
     r.add_argument("--outdir", required=True)
     r.add_argument("--spe10-file", help="path to spe_perm.dat (spe10 preset)")
     r.add_argument("--layer", type=int, default=0)
@@ -215,11 +212,11 @@ def cmd_fit(args) -> int:
     )
     save(surrogate, args.out)
     if args.reports:
-        lines = [f"# {_provenance(args)}", ",".join(("subdomain",) + REPORT_CSV_COLUMNS)]
+        lines = [",".join(("subdomain",) + REPORT_CSV_COLUMNS)]
         lines.extend(
             f"{i},{report_csv_row(r)}" for i, rounds in enumerate(report.rounds) for r in rounds
         )
-        fio._write_text(args.reports, "\n".join(lines) + "\n")
+        fio.write_text(args.reports, lines, _provenance(args))
     unconverged = [str(i) for i, rounds in enumerate(report.rounds) if not rounds[-1].converged]
     if unconverged:
         print(
@@ -315,7 +312,7 @@ def cmd_darcy(args) -> int:
         )
         return sol
 
-    lines = [f"# {_provenance(args)}"]
+    lines = []
     solves = []
     solution = None
     if sizes:
@@ -352,8 +349,8 @@ def cmd_darcy(args) -> int:
     if solution is not None and args.out_text:
         write_pressure_text(solution, args.out_text)
     if args.report:
-        fio._write_text(args.report, "\n".join(lines + solves) + "\n")
-    for line in lines[1:]:
+        fio.write_text(args.report, lines + solves, _provenance(args))
+    for line in lines:
         print(line)
     return 0
 
@@ -371,24 +368,43 @@ def cmd_verify_theory(args) -> int:
         rows = error_grid(cs, sigmas, b=args.b)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    lines = [f"# {_provenance(args)}", "c,sigma,b,numeric,analytic,rel_diff"]
+    lines = ["c,sigma,b,numeric,analytic,rel_diff"]
     lines.extend(",".join(f"{v:.17g}" for v in row) for row in rows)
-    fio._write_text(args.out, "\n".join(lines) + "\n")
+    fio.write_text(args.out, lines, _provenance(args))
     worst = max(r[-1] for r in rows)
     print(f"verify-theory: {len(rows)} cases, worst rel_diff={worst:.3e}")
     return 0
 
 
-# experiment presets: field construction + the pipeline configuration used
-# in the corresponding test runs
-
-
-def _preset_field(name):
-    if name == "step1d":
-        return step_field_1d(16)
-    if name in ("case-uniform", "case-adaptive", "case-parallel"):
-        return box_field_2d()
-    raise ConfigError(f"unknown preset {name!r}")
+# experiment presets: (field, l2 penalty, fit options) of the corresponding
+# test runs, each fed to one ``fit`` call; spe10 reads its field from
+# --spe10-file and chains ``darcy`` after the fit
+PRESETS = {
+    "step1d": (
+        lambda: step_field_1d(16), "4.64e-6",
+        ["--sigma", "0.0019", "--ktop", "1", "--mq", "3", "--eta", "0.5",
+         "--mmax", "6", "--max-rounds", "10"],
+    ),
+    "case-uniform": (
+        box_field_2d, "1e-4", ["--sigma", "0.031", "--tol", "1e-6", "--max-iters", "4000"],
+    ),
+    "case-adaptive": (
+        box_field_2d, "1e-4",
+        ["--sigma", "0.031", "--ktop", "204", "--mq", "3", "--eta", "0.5",
+         "--mmax", "1836", "--max-rounds", "4", "--offsets", "0,0;-0.25,0;0.25,0",
+         "--tol", "1e-6", "--max-iters", "4000"],
+    ),
+    "case-parallel": (
+        box_field_2d, "1e-4",
+        ["--sigma", "0.031", "--px", "2", "--py", "2", "--tol", "1e-6", "--max-iters", "4000"],
+    ),
+    "spe10": (
+        None, "4.64e-6",
+        ["--sigma", "0.00159", "--px", "2", "--py", "2", "--ktop", "660", "--mq", "3",
+         "--mmax", "3960", "--max-rounds", "3", "--offsets", "0,0;-0.25,0;0.25,0",
+         "--tol", "1e-6", "--max-iters", "2000"],
+    ),
+}
 
 
 def cmd_preset(args) -> int:
@@ -397,78 +413,30 @@ def cmd_preset(args) -> int:
     _check_workers(args)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    name = args.name
-    if name == "spe10":
+    field, lam2, options = PRESETS[args.name]
+    stem = args.name.replace("-", "_")
+    if args.name == "spe10":
         if not args.spe10_file:
             raise ConfigError("the spe10 preset requires --spe10-file")
         data = fio.read_spe10(args.spe10_file, args.layer)
         field_path = outdir / f"spe10_layer{args.layer}.txt"
-        fio.write_field(data, field_path)
-        fit_args = [
-            "fit", "--field", str(field_path),
-            "--out", str(outdir / "spe10_surrogate.txt"),
-            "--reports", str(outdir / "spe10_reports.csv"),
-            "--sigma", "0.00159", "--px", "2", "--py", "2",
-            "--l1", "4.59e-4", "--l2", "4.64e-6",
-            "--ktop", "660", "--mq", "3", "--mmax", "3960", "--max-rounds", "3",
-            "--offsets", "0,0;-0.25,0;0.25,0",
-            "--tol", "1e-6", "--max-iters", "2000",
-            "--workers", str(args.workers),
-        ]
-        rc = main(fit_args)
-        if rc != 0:
-            return rc
-        return main(
-            [
-                "darcy", "--field", str(field_path),
-                "--surrogate", str(outdir / "spe10_surrogate.txt"),
-                "--preset", "spe10",
-                "--report", str(outdir / "spe10_pressure_report.txt"),
-                "--out", str(outdir / "spe10_pressure.csv"),
-            ]
-        )
-
-    data = _preset_field(name)
-    stem = name.replace("-", "_")
-    field_path = outdir / f"{stem}_field.txt"
+    else:
+        data, field_path = field(), outdir / f"{stem}_field.txt"
     fio.write_field(data, field_path)
-    lam2 = "4.64e-6" if name == "step1d" else "1e-4"
-    common = ["--field", str(field_path), "--l1", "4.59e-4", "--l2", lam2]
-    if name == "step1d":
-        return main(
-            ["fit", *common,
-             "--out", str(outdir / f"{stem}_surrogate.txt"),
-             "--reports", str(outdir / f"{stem}_reports.csv"),
-             "--sigma", "0.0019", "--ktop", "1", "--mq", "3",
-             "--eta", "0.5", "--mmax", "6", "--max-rounds", "10"]
-        )
-    if name == "case-uniform":
-        return main(
-            ["fit", *common,
-             "--out", str(outdir / f"{stem}_surrogate.txt"),
-             "--reports", str(outdir / f"{stem}_reports.csv"),
-             "--sigma", "0.031", "--tol", "1e-6", "--max-iters", "4000"]
-        )
-    if name == "case-adaptive":
-        return main(
-            ["fit", *common,
-             "--out", str(outdir / f"{stem}_surrogate.txt"),
-             "--reports", str(outdir / f"{stem}_reports.csv"),
-             "--sigma", "0.031", "--ktop", "204", "--mq", "3", "--eta", "0.5",
-             "--mmax", "1836", "--max-rounds", "4",
-             "--offsets", "0,0;-0.25,0;0.25,0",
-             "--tol", "1e-6", "--max-iters", "4000"]
-        )
-    if name == "case-parallel":
-        return main(
-            ["fit", *common,
-             "--out", str(outdir / f"{stem}_surrogate.txt"),
-             "--reports", str(outdir / f"{stem}_reports.csv"),
-             "--sigma", "0.031", "--px", "2", "--py", "2",
-             "--workers", str(args.workers),
-             "--tol", "1e-6", "--max-iters", "4000"]
-        )
-    raise ConfigError(f"unknown preset {name!r}")
+    surrogate_path = outdir / f"{stem}_surrogate.txt"
+    rc = main(
+        ["fit", "--field", str(field_path), "--out", str(surrogate_path),
+         "--reports", str(outdir / f"{stem}_reports.csv"),
+         "--l1", "4.59e-4", "--l2", lam2, "--workers", str(args.workers), *options]
+    )
+    if rc != 0 or args.name != "spe10":
+        return rc
+    return main(
+        ["darcy", "--field", str(field_path), "--surrogate", str(surrogate_path),
+         "--preset", "spe10",
+         "--report", str(outdir / "spe10_pressure_report.txt"),
+         "--out", str(outdir / "spe10_pressure.csv")]
+    )
 
 
 if __name__ == "__main__":

@@ -32,8 +32,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import NumericalError
-from .geometry import as_points, grid_index, grid_points
-from .io import _write_text
+from .geometry import as_points, check_inside, grid_index, grid_points
+from .io import write_grid_values
 
 FACES_2D = ("left", "right", "bottom", "top")
 FACES_1D = ("left", "right")
@@ -242,7 +242,10 @@ class PressureSolution:
 
     def interpolate(self, points) -> np.ndarray:
         if self.mesh.dim == 1:
-            return np.interp(as_points(points, 1)[:, 0], self.mesh.nodes, self.values)
+            pts = as_points(points, 1)
+            lo, hi = self.mesh.bounds
+            check_inside(pts, [lo], [hi])
+            return np.interp(pts[:, 0], self.mesh.nodes, self.values)
         return _interp_p1(self.mesh, self.values, points)
 
     def boundary_reaction(self, face: str) -> float:
@@ -283,7 +286,7 @@ def _interp_p1(tri: Triangulation, values: np.ndarray, points) -> np.ndarray:
 def _as_func(value):
     if callable(value):
         return value
-    return lambda pts, v=float(value): np.full(np.atleast_2d(pts).shape[0], v)
+    return lambda pts, v=float(value): np.full(len(pts), v)
 
 
 def solve_darcy(problem: DarcyProblem) -> PressureSolution:
@@ -621,10 +624,7 @@ def write_pressure_text(solution: PressureSolution, sink) -> None:
     """
     mesh = solution.mesh
     if mesh.dim == 1:
-        header = [f"1 {mesh.n_nodes}", f"{mesh.bounds[0]:.17g} {mesh.bounds[1]:.17g}"]
+        counts, bounds = (mesh.count,), (mesh.bounds,)
     else:
-        nx, ny = mesh.counts
-        (x0, x1), (y0, y1) = mesh.bounds
-        header = [f"2 {nx + 1} {ny + 1}", f"{x0:.17g} {x1:.17g} {y0:.17g} {y1:.17g}"]
-    lines = header + [f"{v:.17g}" for v in solution.values]
-    _write_text(sink, "\n".join(lines) + "\n")
+        counts, bounds = mesh.counts, mesh.bounds
+    write_grid_values(sink, [n + 1 for n in counts], bounds, solution.values)

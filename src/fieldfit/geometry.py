@@ -43,6 +43,14 @@ def uniform_edges(counts, bounds) -> tuple[np.ndarray, ...]:
     return tuple(lo + (hi - lo) * np.arange(n + 1) / n for n, (lo, hi) in zip(counts, bounds))
 
 
+def check_inside(pts: np.ndarray, lo, hi) -> None:
+    """Raise ``ValueError`` naming the first (N, dim) point outside [lo, hi] or not finite."""
+    # an axis's min and max are NaN if one of its coordinates is, and then fail
+    if pts.size and not all(a <= x.min() and x.max() <= b for a, b, x in zip(lo, hi, pts.T)):
+        j = int(np.argmin(np.all((pts >= lo) & (pts <= hi), axis=1)))
+        raise ValueError(f"point index {j} = {pts[j].tolist()} lies outside the grid's box")
+
+
 def grid_index(points, edges) -> np.ndarray:
     """Row-major index (x fastest) of the grid cell holding each point.
 
@@ -52,11 +60,7 @@ def grid_index(points, edges) -> np.ndarray:
     with a non-finite coordinate raises ``ValueError`` naming its index.
     """
     pts = as_points(points, len(edges))
-    lo, hi = (np.array([e[i] for e in edges]) for i in (0, -1))
-    # an axis's min and max are NaN if one of its coordinates is, and then fail
-    if pts.size and not all(a <= x.min() and x.max() <= b for a, b, x in zip(lo, hi, pts.T)):
-        j = int(np.argmin(np.all((pts >= lo) & (pts <= hi), axis=1)))
-        raise ValueError(f"point index {j} = {pts[j].tolist()} lies outside the grid's box")
+    check_inside(pts, [e[0] for e in edges], [e[-1] for e in edges])
     index = np.zeros(pts.shape[0], dtype=np.intp)
     for k in reversed(range(len(edges))):
         e, x, n = edges[k], pts[:, k], len(edges[k]) - 1

@@ -1,10 +1,14 @@
-"""Field-file parsing, SPE10 ingestion, and CSV export.
+"""Field-file parsing, SPE10 ingestion, and every text output.
 
 The field file is a plain text format chosen for auditability: a header line
 ``dim nx [ny]``, a bounds line ``x0 x1 [y0 y1]``, then the cell values in
 row-major order (y outer, x inner), whitespace separated.  SPE10 ingestion
 reads the community-standard ``spe_perm.dat`` layout: kx, ky, kz blocks
 stored consecutively, each holding 85 layers of 220 rows by 60 columns.
+
+:func:`write_text` is the one function that opens an output file and the one
+place that formats the ``# <provenance>`` line; surrogates, fields, pressures,
+CSVs and reports are all written through it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .fields import FieldData
-from .geometry import build_mesh
+from .geometry import as_points, build_mesh
 
 SPE10_NX = 60
 SPE10_NY = 220
@@ -35,8 +39,12 @@ def _read_text(source) -> str:
         raise DataError(f"cannot read {source}: {exc}") from exc
 
 
-def _write_text(sink, text: str) -> None:
-    """Write text to an open file-like sink or to a path."""
+def write_text(sink, lines, provenance: str | None = None) -> None:
+    """Write ``lines``, each ended by a newline, to an open file-like sink or a path.
+
+    With a ``provenance`` the first line is ``# <provenance>``.
+    """
+    text = "\n".join([f"# {provenance}", *lines] if provenance else lines) + "\n"
     if hasattr(sink, "write"):
         sink.write(text)
         return
@@ -123,15 +131,25 @@ def _parse_values(raw, offset: int = 0):
     return out
 
 
+def write_grid_values(sink, counts, bounds, values) -> None:
+    """Write grid values in the field-file grammar read by :func:`read_field`.
+
+    ``counts`` holds one count per axis, ``bounds`` one (lo, hi) pair per
+    axis, and ``values`` the row-major values, x fastest.
+    """
+    write_text(
+        sink,
+        [
+            " ".join(str(n) for n in (len(counts), *counts)),
+            " ".join(f"{v:.17g}" for b in bounds for v in b),
+            *(f"{v:.17g}" for v in values),
+        ],
+    )
+
+
 def write_field(data: FieldData, sink) -> None:
     """Write a field in the grammar accepted by :func:`read_field`."""
-    mesh = data.mesh
-    lines = [
-        " ".join([str(mesh.dim)] + [str(n) for n in mesh.counts]),
-        " ".join(f"{v:.17g}" for b in mesh.bounds for v in b),
-    ]
-    lines.extend(f"{v:.17g}" for v in data.values)
-    _write_text(sink, "\n".join(lines) + "\n")
+    write_grid_values(sink, data.mesh.counts, data.mesh.bounds, data.values)
 
 
 def read_spe10(source, layer: int) -> FieldData:
@@ -166,20 +184,15 @@ def read_spe10(source, layer: int) -> FieldData:
 def write_grid_csv(points, values, sink, provenance: str | None = None) -> None:
     """Write point/value rows as CSV with 17 significant digits.
 
-    Points are (n, 1) or (n, 2); rows preserve the input ordering, so a
-    row-major grid exports deterministically.
+    Points are (n, 1) or (n, 2), or a flat array of n 1D points; rows
+    preserve the input ordering, so a row-major grid exports
+    deterministically.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dim = np.shape(points)[1] if np.ndim(points) == 2 else 1
+    pts = as_points(points, dim)
     vals = np.asarray(values, dtype=float).ravel()
     if pts.shape[0] != vals.shape[0]:
         raise ValueError(f"{pts.shape[0]} points but {vals.shape[0]} values")
-    lines = []
-    if provenance:
-        lines.append(f"# {provenance}")
-    if pts.shape[1] == 1:
-        lines.append("x,value")
-        lines.extend(f"{p[0]:.17g},{v:.17g}" for p, v in zip(pts, vals))
-    else:
-        lines.append("x,y,value")
-        lines.extend(f"{p[0]:.17g},{p[1]:.17g},{v:.17g}" for p, v in zip(pts, vals))
-    _write_text(sink, "\n".join(lines) + "\n")
+    header = ",".join((*("x", "y")[:dim], "value"))
+    rows = np.column_stack([pts, vals]).tolist()
+    write_text(sink, [header, *(",".join(f"{v:.17g}" for v in row) for row in rows)], provenance)

@@ -24,7 +24,7 @@ from .errors import DataError, FieldfitError
 from .fields import FieldData, SubdomainField
 from .geometry import Box, Mesh, as_points, build_mesh, grid_index, uniform_edges
 from .geometry import locate_many  # noqa: F401 - the bench tracer wraps it under this module
-from .io import _read_text, _write_text
+from .io import _read_text, write_text
 from .rbf import LocalSurrogate, RbfDictionary, centroid_dictionary, lattice_dictionary
 
 SURROGATE_FORMAT = "fieldfit-surrogate"
@@ -238,7 +238,7 @@ def save(surrogate: GlobalSurrogate, sink) -> None:
             coords = " ".join(f"{v:.17g}" for v in c)
             lines.append(f"{coords} {w:.17g} {b:.17g} {int(g)}")
     lines.append("end")
-    _write_text(sink, "\n".join(lines) + "\n")
+    write_text(sink, lines)
 
 
 def load(source) -> GlobalSurrogate:

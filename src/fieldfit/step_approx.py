@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from .errors import NumericalError
+from .geometry import as_points
 
 TAIL_BOUND = 1e-14
 
@@ -80,7 +81,7 @@ def two_center_shepard(spec: StepInterfaceSpec, x) -> np.ndarray:
     difference is formed directly so the identity holds in floating point
     far from both centers as well.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    pts = as_points(x, spec.v.size)
     c1 = spec.c * spec.v
     c2 = spec.gamma * spec.c * spec.v
     e1 = -np.sum((pts - c1) ** 2, axis=1) / (2.0 * spec.sigma**2)

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fieldfit.cli import main
+from fieldfit.cli import _build_parser, _provenance, main
 from fieldfit.fields import FieldData, box_field_2d
 from fieldfit.geometry import build_mesh
 from fieldfit.io import write_field
@@ -369,3 +371,29 @@ def test_preset_nonpositive_workers_is_config_error(tmp_path, name):
 
 def test_preset_spe10_requires_file(tmp_path):
     assert main(["preset", "spe10", "--outdir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["fit", "--field", "{field}", "--sigma", "0.13", "--out", "{dir}/s2.txt",
+          "--reports", "{dir}/r.csv"], "{dir}/r.csv"),
+        (["eval", "--surrogate", "{surrogate}", "--nx", "3", "--ny", "2", "--out", "{dir}/e.csv"],
+         "{dir}/e.csv"),
+        (["darcy", "--surrogate", "{surrogate}", "--nx", "4", "--ny", "4", "--out", "{dir}/p.csv"],
+         "{dir}/p.csv"),
+        (["darcy", "--field", "{field}", "--surrogate", "{surrogate}", "--report", "{dir}/r.txt"],
+         "{dir}/r.txt"),
+        (["verify-theory", "--c-values", "1", "--sigma-values", "0.1", "--out", "{dir}/t.csv"],
+         "{dir}/t.csv"),
+    ],
+    ids=["fit-reports", "eval", "darcy-out", "darcy-report", "verify-theory"],
+)
+def test_outputs_start_with_one_provenance_stamp(tmp_path, small_field, argv, output):
+    surrogate = tmp_path / "sur.txt"
+    assert main(_fit_args(small_field, surrogate)) == 0
+    argv = [a.format(field=small_field, surrogate=surrogate, dir=tmp_path) for a in argv]
+    assert main(argv) == 0
+    lines = Path(output.format(dir=tmp_path)).read_text().splitlines()
+    assert lines[0] == "# " + _provenance(_build_parser().parse_args(argv))
+    assert not any(line.startswith("# fieldfit") for line in lines[1:])

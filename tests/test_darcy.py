@@ -1,4 +1,5 @@
 import gc
+import io
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from fieldfit.darcy import (
     pressure_rel_error,
     solve_darcy,
     triangulate,
+    write_pressure_text,
 )
 from fieldfit.elastic_net import ElasticNetConfig
 from fieldfit.errors import NumericalError
 from fieldfit.fields import box_field_2d, relative_l2_error, smooth_field_2d, step_field_1d
+from fieldfit.io import write_grid_values
 from fieldfit.partition import DictionarySpec, fit_parallel, make_partition
 from oracles import p1_assembly_2d
 
@@ -359,6 +362,14 @@ def test_interpolate_rejects_outside_points():
     sol = solve_darcy(_left_right(tri, _ones))
     with pytest.raises(ValueError):
         sol.interpolate(np.array([[1.2, 0.5]]))
+    line = solve_darcy(_left_right(line_mesh(8, (0, 1)), _ones))
+    with pytest.raises(ValueError, match="point index 1"):
+        line.interpolate([0.5, 2.0, -1.0])
+    with pytest.raises(ValueError, match="point index 0"):
+        line.interpolate([np.nan])
+    inside = np.linspace(0.0, 1.0, 13)
+    expected = np.interp(inside, line.mesh.nodes, line.values)
+    np.testing.assert_array_equal(line.interpolate(inside), expected)
 
 
 def test_interpolate_rejects_flat_vector_of_two_points():
@@ -367,3 +378,17 @@ def test_interpolate_rejects_flat_vector_of_two_points():
     np.testing.assert_array_equal(sol.interpolate(np.array([0.25, 0.5])), sol.interpolate([[0.25, 0.5]]))
     with pytest.raises(ValueError):
         sol.interpolate(np.array([0.25, 0.5, 0.75, 0.5]))
+
+
+def test_1d_pressure_text_is_the_field_grammar():
+    mesh = line_mesh(7, (0.25, 1.5))
+    problem = DarcyProblem(
+        mesh=mesh, coefficient=lambda p: 1.0 + p[:, 0] ** 2, dirichlet={"left": 1.0, "right": -0.5}
+    )
+    sol = solve_darcy(problem)
+    text, header = io.StringIO(), io.StringIO()
+    write_pressure_text(sol, text)
+    write_grid_values(header, [8], [(0.25, 1.5)], [])
+    lines = text.getvalue().splitlines()
+    assert lines[:2] == header.getvalue().splitlines() == ["1 8", "0.25 1.5"]
+    np.testing.assert_array_equal(np.array(lines[2:], dtype=float), sol.values)

@@ -162,6 +162,12 @@ def test_grid_csv_roundtrip_bitwise(tmp_path):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(rows[:, 2], values)
     np.testing.assert_array_equal(rows[:, :2], mesh.centroids)
+    # a flat array is N 1D points, one row each
+    write_grid_csv(np.array([0.1, 0.2, 0.3]), [1, 2, 3], path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,value"
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows, [[0.1, 1], [0.2, 2], [0.3, 3]])
 
 
 def test_grid_csv_64x64_row_count(tmp_path):

@@ -77,6 +77,16 @@ def test_two_center_matches_logistic_everywhere():
         )
 
 
+def test_two_center_one_dimensional_points():
+    # with a 1-vector normal a flat array is N points on the line, not one point
+    spec = StepInterfaceSpec(v=np.array([1.0]), b=0.0, c=1.0, sigma=0.5)
+    x = np.array([-0.5, 0.0, 0.5])
+    values = two_center_shepard(spec, x)
+    assert values.shape == (3,)
+    np.testing.assert_allclose(values, logistic_profile(spec, x), atol=1e-15)
+    np.testing.assert_array_equal(values, two_center_shepard(spec, x[:, None]))
+
+
 def test_l1_error_unit_case():
     spec = StepInterfaceSpec(v=E1, b=0.0, c=1.0, sigma=1.0)
     res = l1_error(spec)
