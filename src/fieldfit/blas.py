@@ -64,13 +64,21 @@ def _thread_controls():
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore its setting."""
-    controls = _thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_ in controls:
+    """Run the block with OpenBLAS on one thread, then restore its setting.
+
+    A library already on one thread is left alone, with no set call on the
+    way in or out.  After a fork OpenBLAS's thread pool is stopped, and any
+    set call, even to the count it already has, starts it again, and the
+    new helper threads spin against the work of the block (in a forked child
+    on 2 cores with OpenBLAS 0.3.31, one call per library took the process
+    from 1 to 3 threads and cost about 0.12 s of helper CPU).  So a worker
+    forked inside this block, or a nested block, makes no set call.
+    """
+    pinned = [(set_, n) for get, set_ in _thread_controls() if (n := get()) != 1]
+    for set_, _ in pinned:
         set_(1)
     try:
         yield
     finally:
-        for (_, set_), n in zip(controls, saved):
+        for set_, n in pinned:
             set_(n)

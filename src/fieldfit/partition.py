@@ -12,6 +12,7 @@ import ctypes
 import io
 import itertools
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -172,9 +173,14 @@ def fit_parallel(
     with one entry per subdomain.  Results are gathered by subdomain index
     and are identical for any worker count: every fit runs with OpenBLAS on
     one thread (:func:`fieldfit.blas.one_blas_thread`), in this process and
-    in pool workers alike, so pool workers do not each start one BLAS thread
-    per core, and the fits are bit-identical in the calling process and in a
-    worker.
+    in pool workers alike, so the fits are bit-identical in the calling
+    process and in a worker.  The pool is created and drained with this
+    process already on one OpenBLAS thread, so every worker is forked on one
+    thread and makes no set call, which would restart OpenBLAS's thread pool
+    in the worker; the caller's count is restored once the pool is shut
+    down.  Workers are forked explicitly: the pin and
+    :func:`_release_free_heap` both rely on a worker starting as a copy of
+    this process.
     """
     n = partition.n_subdomains
     cfgs = _broadcast(configs, n, AdaptiveConfig, "configs")
@@ -189,7 +195,9 @@ def fit_parallel(
     else:
         used = min(workers, n)
         _release_free_heap()
-        with ProcessPoolExecutor(max_workers=used) as pool:
+        with one_blas_thread(), ProcessPoolExecutor(
+            max_workers=used, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
             results = list(pool.map(_fit_one, tasks))
     total = time.perf_counter() - t0
 

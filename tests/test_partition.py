@@ -1,9 +1,11 @@
 import io as stdio
+import os
 import re
 
 import numpy as np
 import pytest
 
+from fieldfit import blas
 from fieldfit.adaptive import AdaptiveConfig, fit_adaptive
 from fieldfit.elastic_net import ElasticNetConfig
 from fieldfit.errors import DataError
@@ -178,6 +180,43 @@ def test_fit_parallel_worker_count_bit_identical():
         np.testing.assert_array_equal(a.dictionary.centers, b.dictionary.centers)
     pts = np.random.default_rng(0).random((500, 2))
     np.testing.assert_array_equal(s1.evaluate(pts), s4.evaluate(pts))
+
+
+def test_fit_parallel_leaves_caller_blas_counts_as_found():
+    controls = blas._thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    found = [get() for get, _ in controls]
+    # a count above 1, so that a pin left in place shows
+    for _, set_ in controls:
+        set_(2)
+    try:
+        before = [get() for get, _ in controls]
+        field = box_field_2d(8, 8)
+        part = make_partition(field.mesh, 2, 2)
+        fit_parallel(field, part, PLAIN_CFG, DictionarySpec(sigma=0.13), workers=2)
+        assert [get() for get, _ in controls] == before
+    finally:
+        for (_, set_), n in zip(controls, found):
+            set_(n)
+
+
+class _ThreadCountSpec(DictionarySpec):
+    def build(self, sub):
+        raise DataError(f"{len(os.listdir('/proc/self/task'))} threads")
+
+
+def test_fit_parallel_workers_are_forked_on_one_thread():
+    if not blas._thread_controls():
+        pytest.skip("no OpenBLAS thread control found in this process")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count threads with")
+    mesh = build_mesh(2, (4, 4), ((0, 1), (0, 1)))
+    field = FieldData(mesh=mesh, values=np.ones(16))
+    part = make_partition(mesh, 2, 1)
+    # the spec is built inside the worker's one_blas_thread block
+    with pytest.raises(DataError, match="subdomain 0: 1 threads"):
+        fit_parallel(field, part, PLAIN_CFG, _ThreadCountSpec(sigma=0.1), workers=2)
 
 
 class _BrokenSpec(DictionarySpec):
