@@ -136,11 +136,16 @@ def _provenance(args) -> str:
     return "fieldfit " + " ".join(f"--{k}={v}" for k, v in items)
 
 
-def _parse_lams(text: str, n: int, name: str) -> list[float]:
+def _parse_list(text: str, name: str, kind=float) -> list:
+    """The comma-separated numbers of an option; ConfigError names the option."""
     try:
-        vals = [float(t) for t in text.split(",")]
+        return [kind(t) for t in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse {name}={text!r}: {exc}") from exc
+
+
+def _parse_lams(text: str, n: int, name: str) -> list[float]:
+    vals = _parse_list(text, name)
     if len(vals) == 1:
         return vals * n
     if len(vals) != n:
@@ -245,10 +250,7 @@ def cmd_eval(args) -> int:
     surrogate = load(args.surrogate)
     mesh = surrogate.partition.mesh
     if args.bounds is not None:
-        try:
-            bounds = [float(v) for v in args.bounds.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse bounds {args.bounds!r}") from exc
+        bounds = _parse_list(args.bounds, "--bounds")
     else:
         bounds = [v for b in mesh.bounds for v in b]
     if mesh.dim == 2 and args.ny is None:
@@ -290,12 +292,7 @@ def cmd_darcy(args) -> int:
             raise DataError(f"the field's domain {dom} is not inside the surrogate's {sur_dom}")
     nx = mesh0.counts[0] if args.nx is None else args.nx
     ny = mesh0.counts[1] if args.ny is None else args.ny
-    sizes = []
-    if args.sweep:
-        try:
-            sizes = [int(t) for t in args.sweep.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse sweep {args.sweep!r}") from exc
+    sizes = _parse_list(args.sweep, "--sweep", int) if args.sweep else []
     if min(nx, ny, *sizes) < 1:
         raise ConfigError(f"mesh sizes must be >= 1: --nx={nx} --ny={ny} --sweep={sizes}")
     bounds = mesh0.bounds
@@ -359,11 +356,8 @@ def cmd_verify_theory(args) -> int:
     from .step_approx import error_grid
 
     fio.check_writable(args.out)
-    try:
-        cs = [float(t) for t in args.c_values.split(",")]
-        sigmas = [float(t) for t in args.sigma_values.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse parameter grid: {exc}") from exc
+    cs = _parse_list(args.c_values, "--c-values")
+    sigmas = _parse_list(args.sigma_values, "--sigma-values")
     try:
         rows = error_grid(cs, sigmas, b=args.b)
     except ValueError as exc:
@@ -412,7 +406,10 @@ def cmd_preset(args) -> int:
 
     _check_workers(args)
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {outdir}: {exc}") from exc
     field, lam2, options = PRESETS[args.name]
     stem = args.name.replace("-", "_")
     if args.name == "spe10":

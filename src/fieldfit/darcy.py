@@ -11,14 +11,14 @@ coordinates, and centroids, areas and faces are read off those coordinates
 too.  In 1D the elements are intervals with linear basis functions and the
 reduced tridiagonal system is solved by LAPACK's ``dptsv``.
 
-Every 2D system is solved by conjugate gradients preconditioned by one
-symmetric multigrid V(2,2) cycle (MGCG, Tatebe 1993).  Halving the grid
-counts (on stretched cells, only along the narrow axis) gives the coarse P1
-spaces; the coarse operators are Galerkin products PᵀAP, which follow
-coefficient jumps algebraically (Alcouffe, Brandt, Dendy & Painter 1981);
-damped Jacobi smooths, and the coarsest level is LU-factorized.  A system
-that is already coarsest-sized is solved by that factorization, in one CG
-iteration.
+Every 2D system is solved by CG, which is ``scipy.sparse.linalg.cg``,
+preconditioned by one symmetric multigrid V(2,2) cycle (MGCG, Tatebe
+1993).  Halving the grid counts (on stretched cells, only along the narrow
+axis) gives the coarse P1 spaces; the coarse operators are Galerkin
+products PᵀAP, which follow coefficient jumps algebraically (Alcouffe,
+Brandt, Dendy & Painter 1981); damped Jacobi smooths, and the coarsest
+level is LU-factorized.  A system that is already coarsest-sized is solved
+by that factorization, in one CG iteration.
 """
 
 from __future__ import annotations
@@ -295,11 +295,11 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
     The matrix is the 5-point stencil of ``_assemble_2d`` in 2D and the
     tridiagonal matrix of ``_assemble_1d`` in 1D; ``system`` holds it in
     CSR, with the load vector, before Dirichlet nodes are removed.  2D
-    systems are solved by multigrid-preconditioned CG, 1D systems by
-    LAPACK ``dptsv``.  ``diagnostics`` holds ``method`` ("cg" in 2D,
-    "direct" in 1D, "none" without free nodes), ``iterations``, ``levels``
-    (multigrid levels, 1 for a direct solve) and ``residual`` (relative, of
-    the reduced system).
+    systems are solved by ``scipy.sparse.linalg.cg`` preconditioned by one
+    multigrid V(2,2) cycle, 1D systems by LAPACK ``dptsv``.
+    ``diagnostics`` holds ``method`` ("cg" in 2D, "direct" in 1D, "none"
+    without free nodes), ``iterations``, ``levels`` (multigrid levels, 1 for
+    a direct solve) and ``residual`` (relative, of the reduced system).
     """
     mesh = problem.mesh
     A, b = _assemble_1d(problem) if mesh.dim == 1 else _assemble_2d(problem)
@@ -334,8 +334,18 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
         else:
             extent = [hi - lo for lo, hi in mesh.bounds]
             hierarchy, coarsest = _multigrid(Aff, mesh.counts, extent, free)
-            xf, iterations = _pcg(Aff, bf, hierarchy, coarsest)
-            method, levels = "cg", len(hierarchy) + 1
+            # dtype given, so cg need not run a V-cycle on zeros to find it
+            vcycle = spla.LinearOperator(
+                Aff.shape, matvec=lambda r: _vcycle(hierarchy, coarsest, r), dtype=float
+            )
+            steps = []
+            xf, info = spla.cg(
+                Aff, bf, rtol=_CG_RTOL, atol=0.0, maxiter=n_free, M=vcycle,
+                callback=steps.append,
+            )
+            if info != 0:
+                raise NumericalError(f"preconditioned CG did not converge in {n_free} iterations")
+            method, iterations, levels = "cg", len(steps), len(hierarchy) + 1
         x[free] = xf
         res = float(np.linalg.norm(Aff @ xf - bf))
         ref = float(np.linalg.norm(bf))
@@ -441,27 +451,18 @@ def _vcycle(levels, coarsest, r, k=0):
     return x
 
 
-def _pcg(A, b, levels, coarsest):
-    """Conjugate gradients preconditioned by one V-cycle; (x, iterations)."""
-    x = np.zeros_like(b)
-    tol = _CG_RTOL * np.linalg.norm(b)
-    if tol == 0.0:
-        return x, 0
-    r = b.copy()
-    z = _vcycle(levels, coarsest, r)
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, b.size + 1):
-        q = A @ p
-        alpha = rz / (p @ q)
-        x += alpha * p
-        r -= alpha * q
-        if np.linalg.norm(r) <= tol:
-            return x, it
-        z = _vcycle(levels, coarsest, r)
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    raise NumericalError(f"preconditioned CG did not converge in {b.size} iterations")
+def _sample(problem: DarcyProblem, points, element: str):
+    """Coefficient and source at the elements' quadrature points.
+
+    Raises :class:`NumericalError` naming the first ``element`` whose
+    coefficient is not a finite positive number.
+    """
+    k = np.asarray(problem.coefficient(points), dtype=float)
+    bad = ~((k > 0) & np.isfinite(k))
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise NumericalError(f"coefficient sample at {element} {j} is not positive: {k[j]}")
+    return k, np.asarray(_as_func(problem.source)(points), dtype=float)
 
 
 def _assemble_2d(problem: DarcyProblem):
@@ -483,10 +484,7 @@ def _assemble_2d(problem: DarcyProblem):
     xs, ys = _axes(mesh)
     cent = mesh.centroids()
 
-    k = np.asarray(problem.coefficient(cent), dtype=float)
-    if np.any(~(k > 0) | ~np.isfinite(k)):
-        j = int(np.argmax(~(k > 0) | ~np.isfinite(k)))
-        raise NumericalError(f"coefficient sample at triangle {j} is not positive: {k[j]}")
+    k, f = _sample(problem, cent, "triangle")
 
     # per cell (row j, column i): [..., 0] lower triangle, [..., 1] upper
     kt = _per_cell(mesh, k)
@@ -515,7 +513,6 @@ def _assemble_2d(problem: DarcyProblem):
     A = sp.csr_matrix((stencil[stored], cols[stored], indptr), shape=(n, n))
 
     # each triangle sends a third of its source integral to each corner
-    f = np.asarray(_as_func(problem.source)(cent), dtype=float)
     share = _per_cell(mesh, f * mesh.areas() / 3.0)
     both = share[..., 0] + share[..., 1]
     b = np.zeros((ny + 1, nx + 1))
@@ -555,10 +552,7 @@ def _assemble_1d(problem: DarcyProblem):
     h = np.diff(mesh.nodes)
     mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
 
-    k = np.asarray(problem.coefficient(mids[:, None]), dtype=float)
-    if np.any(~(k > 0) | ~np.isfinite(k)):
-        j = int(np.argmax(~(k > 0) | ~np.isfinite(k)))
-        raise NumericalError(f"coefficient sample at element {j} is not positive: {k[j]}")
+    k, f = _sample(problem, mids[:, None], "element")
 
     w = k / h
     diag = np.zeros(n + 1)
@@ -567,7 +561,6 @@ def _assemble_1d(problem: DarcyProblem):
     A = sp.diags([-w, diag, -w], offsets=[-1, 0, 1], format="csr")
 
     b = np.zeros(n + 1)
-    f = np.asarray(_as_func(problem.source)(mids[:, None]), dtype=float)
     half = 0.5 * f * h
     b[:-1] += half
     b[1:] += half

@@ -27,6 +27,7 @@ from .geometry import Box, Mesh, as_points, build_mesh, grid_index, uniform_edge
 from .geometry import locate_many  # noqa: F401 - the bench tracer wraps it under this module
 from .io import _read_text, write_text
 from .rbf import LocalSurrogate, RbfDictionary, centroid_dictionary, lattice_dictionary
+from .rbf import usable_widths
 
 SURROGATE_FORMAT = "fieldfit-surrogate"
 SURROGATE_VERSION = 1
@@ -77,8 +78,8 @@ class DictionarySpec:
     lattice: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not usable_widths(self.sigma):
+            raise ValueError(f"sigma must be > 0 with -1/(2 sigma^2) finite, got {self.sigma}")
         if self.lattice is not None and self.lattice < 1:
             raise ValueError(f"lattice resolution must be >= 1, got {self.lattice}")
 
@@ -149,8 +150,7 @@ def _fit_one(args):
     index, sub, spec, cfg = args
     t0 = time.perf_counter()
     try:
-        with one_blas_thread():
-            surrogate, reports = fit_adaptive(sub, spec.build(sub), cfg)
+        surrogate, reports = fit_adaptive(sub, spec.build(sub), cfg)
     except FieldfitError as exc:
         # keep the class, so the CLI still maps it to its exit code
         raise type(exc)(f"subdomain {index}: {exc}") from exc
@@ -171,14 +171,14 @@ def fit_parallel(
 
     ``configs`` and ``spec`` may be single values (broadcast) or sequences
     with one entry per subdomain.  Results are gathered by subdomain index
-    and are identical for any worker count: every fit runs with OpenBLAS on
-    one thread (:func:`fieldfit.blas.one_blas_thread`), in this process and
-    in pool workers alike, so the fits are bit-identical in the calling
-    process and in a worker.  The pool is created and drained with this
-    process already on one OpenBLAS thread, so every worker is forked on one
-    thread and makes no set call, which would restart OpenBLAS's thread pool
-    in the worker; the caller's count is restored once the pool is shut
-    down.  Workers are forked explicitly: the pin and
+    and are identical for any worker count: the fits run inside one
+    :func:`fieldfit.blas.one_blas_thread` block, so OpenBLAS is on one
+    thread for every fit, in this process and in pool workers alike, and
+    the fits are bit-identical in the calling process and in a worker.  The
+    pool is created and drained inside that block, so every worker is forked
+    on one thread and makes no set call, which would restart OpenBLAS's
+    thread pool in the worker; the caller's count is restored once the
+    fits are done.  Workers are forked explicitly: the pin and
     :func:`_release_free_heap` both rely on a worker starting as a copy of
     this process.
     """
@@ -189,16 +189,16 @@ def fit_parallel(
     tasks = [(i, subs[i], specs[i], cfgs[i]) for i in range(n)]
 
     t0 = time.perf_counter()
-    if workers <= 1 or n == 1:
-        results = [_fit_one(t) for t in tasks]
-        used = 1
-    else:
-        used = min(workers, n)
-        _release_free_heap()
-        with one_blas_thread(), ProcessPoolExecutor(
-            max_workers=used, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            results = list(pool.map(_fit_one, tasks))
+    used = max(1, min(workers, n))
+    with one_blas_thread():
+        if used == 1:
+            results = [_fit_one(t) for t in tasks]
+        else:
+            _release_free_heap()
+            with ProcessPoolExecutor(
+                max_workers=used, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                results = list(pool.map(_fit_one, tasks))
     total = time.perf_counter() - t0
 
     results.sort(key=lambda r: r[0])

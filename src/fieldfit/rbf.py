@@ -51,6 +51,19 @@ _DROP_LOG_MARGIN = 53.0 * np.log(2.0) + 2.0
 _GEMM_ROWS = 512
 
 
+def usable_widths(widths) -> np.ndarray:
+    """Mask of the widths sigma > 0 whose -1/(2 sigma^2) is a finite negative number.
+
+    A width so small that 2 sigma^2 underflows, or so large that sigma^2
+    overflows, gives an exponent factor of -inf or -0.0, from which no
+    Gaussian can be evaluated.
+    """
+    widths = np.asarray(widths, dtype=float)
+    with np.errstate(all="ignore"):
+        neg_inv = -1.0 / (2.0 * widths**2)
+    return (widths > 0) & np.isfinite(neg_inv) & (neg_inv < 0)
+
+
 @dataclass(frozen=True)
 class RbfDictionary:
     """Ordered Gaussian basis set on one subdomain.
@@ -73,9 +86,13 @@ class RbfDictionary:
             raise ValueError("centers and widths length mismatch")
         if centers.shape[0] == 0:
             raise ValueError("dictionary must contain at least one entry")
-        ok = np.isfinite(centers).all(axis=1) & np.isfinite(widths) & (widths > 0)
+        ok = np.isfinite(centers).all(axis=1) & usable_widths(widths)
         if not ok.all():
-            raise ValueError(f"entry {np.argmin(ok)} needs a finite centre and a width > 0")
+            m = int(np.argmin(ok))
+            raise ValueError(
+                f"entry {m} needs a finite centre and a width whose -1/(2 sigma^2) is a "
+                f"finite negative number, got {centers[m]} and {widths[m]}"
+            )
         gens = self.generations
         gens = np.zeros(centers.shape[0], dtype=int) if gens is None else np.asarray(gens, dtype=int)
         if gens.shape[0] != centers.shape[0]:
@@ -187,18 +204,14 @@ class _AxisGroup:
     their distinct x and y coordinates.  In 1D the whole dictionary is one
     group whose x-keys are distinct (coordinate, width) pairs, and the
     y-axis is the single key 0 with factor 1.  ``nx`` and ``ny`` hold each
-    key's -1/(2 sigma^2); ``ix``, ``iy`` and ``members`` give each member
-    centre's keys and dictionary index; ``table[i, 0, j]`` sums the
-    coefficients and ``table[i, 1, j]`` counts the centres at keys (i, j).
+    key's -1/(2 sigma^2); ``table[i, 0, j]`` sums the coefficients and
+    ``table[i, 1, j]`` counts the centres at keys (i, j).
     """
 
     xs: np.ndarray
     nx: np.ndarray
     ys: np.ndarray
     ny: np.ndarray
-    ix: np.ndarray
-    iy: np.ndarray
-    members: np.ndarray
     table: np.ndarray
 
 
@@ -225,7 +238,7 @@ def _axis_groups(dictionary: RbfDictionary, beta) -> list[_AxisGroup]:
         table = np.zeros((xs.shape[0], 2, ys.shape[0]))
         np.add.at(table, (ix, 0, iy), beta[members])
         np.add.at(table, (ix, 1, iy), 1.0)
-        groups.append(_AxisGroup(xs, nx, ys, ny, ix, iy, members, table))
+        groups.append(_AxisGroup(xs, nx, ys, ny, table))
     return groups
 
 
@@ -268,14 +281,6 @@ def _windows(keys, neg_inv, offsets, lo, hi, floor):
     return start - offsets, stop - offsets
 
 
-def _axis_logs(x, keys, neg_inv) -> np.ndarray:
-    """(N, K) per-axis exponents neg_inv_k (x - key_k)^2."""
-    d = np.subtract.outer(x, keys)
-    d *= d
-    d *= neg_inv
-    return d
-
-
 class _TileWindows:
     """The key windows of the groups that can reach one tile, laid out for blocks.
 
@@ -286,7 +291,6 @@ class _TileWindows:
     """
 
     def __init__(self, windows):
-        self.windows = windows
         self.xk = np.concatenate([g.xs[wx] for g, wx, _ in windows])
         self.xn = np.concatenate([g.nx[wx] for g, wx, _ in windows])[:, None]
         self.yk = np.concatenate([g.ys[wy] for g, _, wy in windows])
@@ -342,30 +346,6 @@ def _blend_block(x, y, tw: _TileWindows):
     return sums
 
 
-def _blend_exact(q, windows, beta) -> np.ndarray:
-    """Shepard blend over the windows' centres, shifted by the exact row maximum.
-
-    For rows whose bound s of the row maximum was not attained by far: when
-    the nearest x-key and the nearest y-key of a group belong to different
-    centres, every lx + ly - s can underflow.
-    """
-    logs, coefs = [], []
-    for group, wx, wy in windows:
-        inside = (group.ix >= wx.start) & (group.ix < wx.stop) & (group.iy >= wy.start) & (group.iy < wy.stop)
-        lx = _axis_logs(q[:, 0], group.xs[wx], group.nx[wx])
-        ly = _axis_logs(q[:, 1], group.ys[wy], group.ny[wy])
-        logs.append(lx[:, group.ix[inside] - wx.start] + ly[:, group.iy[inside] - wy.start])
-        coefs.append(beta[group.members[inside]])
-    w = np.hstack(logs)
-    w -= w.max(axis=1, keepdims=True)
-    np.exp(w, out=w)
-    den = w.sum(axis=1)
-    if not np.all(np.isfinite(den)):
-        raise FloatingPointError("Shepard denominator degenerate")
-    w *= np.concatenate(coefs)
-    return w.sum(axis=1) / den
-
-
 def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
     """Evaluate sum_m beta_m w_m(x) with w the Shepard weights.
 
@@ -378,8 +358,8 @@ def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
     grid that depends on the dictionary only, and each tile uses only the
     keys whose centres can reach 2^-53 of the largest weight there, which
     changes no sum beyond rounding.  Where the shift bounding every
-    exponent is not attained and the factored sums underflow, a point is
-    summed centre by centre from the same per-axis exponents.  A tile's
+    exponent is not attained and the factored sums underflow, a point's
+    row of :func:`shepard_features` is summed against ``beta``.  A tile's
     points are processed in padded blocks of ``_GEMM_ROWS`` on one BLAS
     thread, so memory stays bounded and each point's value does not depend
     on the other points of the call.
@@ -411,7 +391,8 @@ def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
         )
     ]
     # a blend below this denominator could hold subnormal weights above
-    # 2^-53 / (e^2 M) of it, so it is recomputed with the exact shift
+    # 2^-53 / (e^2 M) of it, so it is recomputed with the exact shift, row
+    # by row, so that each value stays independent of the other points
     den_floor = np.finfo(float).tiny * np.exp(_DROP_LOG_MARGIN) * m
     n_tiles = starts.shape[0] - 1
     tiles_per_chunk = max(1, _EVAL_BLOCK_BYTES // (8 * m))
@@ -441,7 +422,8 @@ def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
                     exact = ~(den >= den_floor)
                     out[part] = np.divide(num, den, out=np.empty(part.shape[0]), where=~exact)
                     if np.any(exact):
-                        out[part[exact]] = _blend_exact(pts[part[exact]], tw.windows, beta)
+                        w = shepard_features(pts[part[exact], : dictionary.dim], dictionary)
+                        out[part[exact]] = (w * beta).sum(axis=1)
     return out
 
 

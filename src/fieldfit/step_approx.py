@@ -46,6 +46,12 @@ class StepInterfaceSpec:
             raise ValueError(f"c + b must be positive, got {self.c + self.b}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        # sigma * sigma overflows to inf where sigma**2 raises OverflowError
+        sigma2 = self.sigma * self.sigma
+        if not (0 < sigma2 < math.inf and 0 < 2.0 * (self.b + self.c) / sigma2 < math.inf):
+            raise ValueError(
+                f"rate 2(b + c) / sigma^2 must be finite and positive, got sigma={self.sigma}"
+            )
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 

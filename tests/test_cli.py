@@ -292,6 +292,8 @@ def test_darcy_pressure_text_export(tmp_path):
         ["verify-theory", "--c-values", "-1"],
         ["verify-theory", "--sigma-values", "0"],
         ["verify-theory", "--sigma-values", "nan"],
+        ["verify-theory", "--sigma-values", "1e200"],
+        ["verify-theory", "--sigma-values", "1e-200"],
     ],
 )
 def test_bad_grid_or_parameter_is_config_error(tmp_path, small_field, capsys, argv):
@@ -305,6 +307,80 @@ def test_bad_grid_or_parameter_is_config_error(tmp_path, small_field, capsys, ar
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["fit", "--field", "{field}", "--sigma", "0.13", "--out", "{dir}/s.txt", "--l1", "1,x"],
+         "--l1"),
+        (["fit", "--field", "{field}", "--sigma", "0.13", "--out", "{dir}/s.txt", "--l2", "y"],
+         "--l2"),
+        (["eval", "--surrogate", "{surrogate}", "--nx", "4", "--ny", "4", "--out", "{dir}/e.csv",
+          "--bounds", "0,1,a,1"], "--bounds"),
+        (["darcy", "--surrogate", "{surrogate}", "--out", "{dir}/p.csv", "--sweep", "8,1.5"],
+         "--sweep"),
+        (["verify-theory", "--out", "{dir}/t.csv", "--c-values", "1,,2"], "--c-values"),
+        (["verify-theory", "--out", "{dir}/t.csv", "--sigma-values", "0.1;0.2"], "--sigma-values"),
+    ],
+    ids=["l1", "l2", "eval-bounds", "darcy-sweep", "c-values", "sigma-values"],
+)
+def test_malformed_number_list_is_config_error(tmp_path, small_field, capsys, argv, option):
+    surrogate = tmp_path / "sur.txt"
+    assert main(_fit_args(small_field, surrogate)) == 0
+    capsys.readouterr()
+    argv = [a.format(field=small_field, surrogate=surrogate, dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {option}=")
+    assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--field", "{field}", "--out", "{dir}/s.txt", "--sigma", "1e-200"],
+        ["fit", "--field", "{field}", "--out", "{dir}/s.txt", "--sigma", "1e-170"],
+        ["fit", "--field", "{field}", "--out", "{dir}/s.txt", "--sigma", "1e200"],
+    ],
+    ids=["1e-200", "1e-170", "1e200"],
+)
+def test_fit_sigma_out_of_float_range_is_config_error(tmp_path, small_field, capsys, argv):
+    argv = [a.format(field=small_field, dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--surrogate", "{surrogate}", "--nx", "4", "--ny", "4", "--out", "{dir}/e.csv"],
+        ["darcy", "--surrogate", "{surrogate}", "--out", "{dir}/p.csv"],
+    ],
+    ids=["eval", "darcy"],
+)
+def test_surrogate_with_overflowing_width_is_data_error(tmp_path, small_field, capsys, argv):
+    surrogate = tmp_path / "sur.txt"
+    assert main(_fit_args(small_field, surrogate)) == 0
+    lines = surrogate.read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if l.startswith("subdomain 0 ")) + 1
+    toks = lines[first].split()
+    toks[2] = "1e200"  # x, y, width, coefficient, generation
+    lines[first] = " ".join(toks)
+    surrogate.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = [a.format(surrogate=surrogate, dir=tmp_path) for a in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed surrogate file") and "1e+200" in err
+    assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
+
+
+def test_darcy_cg_that_cannot_converge_exits_4(small_field, capsys, monkeypatch):
+    monkeypatch.setattr("fieldfit.darcy._vcycle", lambda levels, coarsest, r, k=0: np.zeros_like(r))
+    with np.errstate(invalid="ignore"):
+        assert main(["darcy", "--field", str(small_field)]) == 4
+    assert "did not converge" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -367,6 +443,16 @@ def test_preset_nonpositive_workers_is_config_error(tmp_path, name):
     outdir = tmp_path / "out"
     assert main(["preset", name, "--outdir", str(outdir), "--workers", "0"]) == 2
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("outdir", ["{file}", "{file}/out"], ids=["is-a-file", "parent-is-a-file"])
+def test_preset_unwritable_outdir_is_data_error(tmp_path, capsys, outdir):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    outdir = outdir.format(file=blocker)
+    assert main(["preset", "step1d", "--outdir", outdir]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {outdir}: [Errno ")
+    assert blocker.read_text() == ""
 
 
 def test_preset_spe10_requires_file(tmp_path):

@@ -200,6 +200,14 @@ def test_nonpositive_coefficient_rejected():
         solve_darcy(prob)
 
 
+def test_cg_that_cannot_converge_is_numerical_error(monkeypatch):
+    # a preconditioner that returns zeros gives CG no direction to move in
+    monkeypatch.setattr("fieldfit.darcy._vcycle", lambda levels, coarsest, r, k=0: np.zeros_like(r))
+    tri = triangulate(8, 8, ((0, 1), (0, 1)))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="did not converge"):
+        solve_darcy(_left_right(tri, _ones))
+
+
 def test_no_dirichlet_rejected():
     tri = triangulate(4, 4, ((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="Dirichlet"):

@@ -214,7 +214,7 @@ def test_fit_parallel_workers_are_forked_on_one_thread():
     mesh = build_mesh(2, (4, 4), ((0, 1), (0, 1)))
     field = FieldData(mesh=mesh, values=np.ones(16))
     part = make_partition(mesh, 2, 1)
-    # the spec is built inside the worker's one_blas_thread block
+    # the spec is built in a worker forked inside fit_parallel's one_blas_thread block
     with pytest.raises(DataError, match="subdomain 0: 1 threads"):
         fit_parallel(field, part, PLAIN_CFG, _ThreadCountSpec(sigma=0.1), workers=2)
 
@@ -378,9 +378,12 @@ ENTRY = r"(?m)^([-+\w.]+) ([-+\w.]+) ([-+\w.]+) ([-+\w.]+) 0$"
         (ENTRY, r"\1 nan \3 \4 0"),
         (ENTRY, r"\1 \2 nan \4 0"),
         (ENTRY, r"\1 \2 inf \4 0"),
+        (ENTRY, r"\1 \2 1e200 \4 0"),
+        (ENTRY, r"\1 \2 1e-200 \4 0"),
     ],
     ids=["version", "grid-divisor", "grid-arity", "meta-value", "beta-nan", "beta-inf",
-         "centre-inf", "centre-nan", "width-nan", "width-inf"],
+         "centre-inf", "centre-nan", "width-nan", "width-inf", "width-square-overflows",
+         "width-square-underflows"],
 )
 def test_load_malformed_input_is_data_error(old, new):
     field = box_field_2d(8, 8)
