@@ -163,18 +163,12 @@ def _nearest_entry(dictionary: RbfDictionary, point: np.ndarray) -> int:
     return int(idx[0])
 
 
-def enrich(
-    dictionary: RbfDictionary,
-    marked,
-    sub: SubdomainField,
-    eta: float,
-    m_q: int,
-    offsets=None,
-):
+def enrich(dictionary: RbfDictionary, marked, sub: SubdomainField, eta: float, offsets):
     """New (center, width) entries for the marked cells.
 
-    Each marked cell contributes up to ``m_q`` centers at fixed offsets from
-    its centroid (clamped into the subdomain box) with width eta times the
+    Each marked cell contributes one center per entry of ``offsets`` (in
+    units of the cell size, see :meth:`AdaptiveConfig.offsets_for_dim`) from
+    its centroid, clamped into the subdomain box, with width eta times the
     width of the nearest existing entry.  Candidates that duplicate an
     existing dictionary entry are dropped; an empty result signals the
     caller to stop refining.
@@ -183,9 +177,7 @@ def enrich(
     if marked.size == 0:
         raise ValueError("marked cell set must not be empty")
     dim = sub.centroids.shape[1]
-    if offsets is None:
-        offsets = DEFAULT_OFFSETS_1D if dim == 1 else DEFAULT_OFFSETS_2D
-    offsets = np.asarray(offsets, dtype=float)[:m_q]
+    offsets = np.asarray(offsets, dtype=float)
     scale = np.asarray(sub.cell_size, dtype=float)
 
     cells = sub.centroids[marked]
@@ -254,8 +246,7 @@ def fit_adaptive(
         if marked.size == 0:
             break
         centers, widths = enrich(
-            dictionary, marked, sub, config.eta, config.m_q,
-            offsets=config.offsets_for_dim(sub.centroids.shape[1]),
+            dictionary, marked, sub, config.eta, config.offsets_for_dim(sub.centroids.shape[1])
         )
         # the last batch is cut to the remaining budget, in candidate order
         budget = config.m_max - added_total

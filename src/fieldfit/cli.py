@@ -37,6 +37,12 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
+# darcy --preset: the Dirichlet values on the left and right faces
+DARCY_PRESETS = {
+    "left-right": {"left": 1.0, "right": 0.0},
+    "spe10": {"left": 100.0, "right": 0.0},
+}
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -101,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("darcy", help="solve the pressure equation")
     d.add_argument("--field", help="coefficient from a field file (staircase)")
     d.add_argument("--surrogate", help="coefficient from a saved surrogate")
-    d.add_argument("--preset", default="left-right", choices=("left-right", "spe10"))
+    d.add_argument("--preset", default="left-right", choices=tuple(DARCY_PRESETS))
     d.add_argument("--nx", type=int)
     d.add_argument("--ny", type=int)
     d.add_argument("--out", help="pressure CSV")
@@ -156,10 +162,7 @@ def _parse_lams(text: str, n: int, name: str) -> list[float]:
 def _parse_offsets(text: str | None, dim: int):
     if text is None:
         return None
-    try:
-        offs = tuple(tuple(float(v) for v in part.split(",")) for part in text.split(";"))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse offsets {text!r}: {exc}") from exc
+    offs = tuple(tuple(_parse_list(part, "--offsets")) for part in text.split(";"))
     if any(len(o) != dim for o in offs):
         raise ConfigError(f"offsets must have {dim} coordinates each")
     return offs
@@ -268,14 +271,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _bc_preset(name):
-    if name == "left-right":
-        return {"left": 1.0, "right": 0.0}
-    if name == "spe10":
-        return {"left": 100.0, "right": 0.0}
-    raise ConfigError(f"unknown darcy preset {name!r}")
-
-
 def cmd_darcy(args) -> int:
     if not args.field and not args.surrogate:
         raise ConfigError("darcy requires --field and/or --surrogate")
@@ -296,7 +291,7 @@ def cmd_darcy(args) -> int:
     if min(nx, ny, *sizes) < 1:
         raise ConfigError(f"mesh sizes must be >= 1: --nx={nx} --ny={ny} --sweep={sizes}")
     bounds = mesh0.bounds
-    dirichlet = _bc_preset(args.preset)
+    dirichlet = DARCY_PRESETS[args.preset]
 
     def run(coeff, n_x, n_y):
         tri = triangulate(n_x, n_y, bounds)

@@ -296,7 +296,8 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
     tridiagonal matrix of ``_assemble_1d`` in 1D; ``system`` holds it in
     CSR, with the load vector, before Dirichlet nodes are removed.  2D
     systems are solved by ``scipy.sparse.linalg.cg`` preconditioned by one
-    multigrid V(2,2) cycle, 1D systems by LAPACK ``dptsv``.
+    multigrid V(2,2) cycle, stopped by :class:`NumericalError` at its first
+    non-finite iterate; 1D systems by LAPACK ``dptsv``.
     ``diagnostics`` holds ``method`` ("cg" in 2D, "direct" in 1D, "none"
     without free nodes), ``iterations``, ``levels`` (multigrid levels, 1 for
     a direct solve) and ``residual`` (relative, of the reduced system).
@@ -339,9 +340,14 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
                 Aff.shape, matvec=lambda r: _vcycle(hierarchy, coarsest, r), dtype=float
             )
             steps = []
+
+            def step(xk):  # a breakdown (a 0/0 step) makes every later iterate NaN too
+                steps.append(xk)
+                if not np.isfinite(xk).all():
+                    raise NumericalError(f"CG did not converge: iterate {len(steps)} is not finite")
+
             xf, info = spla.cg(
-                Aff, bf, rtol=_CG_RTOL, atol=0.0, maxiter=n_free, M=vcycle,
-                callback=steps.append,
+                Aff, bf, rtol=_CG_RTOL, atol=0.0, maxiter=n_free, M=vcycle, callback=step
             )
             if info != 0:
                 raise NumericalError(f"preconditioned CG did not converge in {n_free} iterations")

@@ -46,22 +46,18 @@ class FieldData:
         """Staircase evaluation: the value of the (half-open) cell containing each point."""
         return self.values[grid_index(points, uniform_edges(self.mesh.counts, self.mesh.bounds))]
 
-    def subdomain(self, box: Box) -> "SubdomainField":
-        """Cells whose centroids lie in the (half-open) box."""
-        mask = box.contains_many(self.mesh.centroids)
-        if not np.any(mask):
-            raise ValueError("subdomain box contains no cell centroids")
-        idx = np.flatnonzero(mask)
+    def cells(self, box: Box, cell_indices) -> "SubdomainField":
+        """The slice of the given cells, ascending, owned by ``box``."""
         return SubdomainField(
             box=box,
-            cell_indices=idx,
-            centroids=self.mesh.centroids[idx],
-            values=self.values[idx],
+            cell_indices=cell_indices,
+            centroids=self.mesh.centroids[cell_indices],
+            values=self.values[cell_indices],
             cell_size=self.mesh.cell_size,
         )
 
     def whole(self) -> "SubdomainField":
-        return self.subdomain(self.mesh.box)
+        return self.cells(self.mesh.box, np.arange(self.mesh.n_cells))
 
 
 @dataclass(frozen=True)

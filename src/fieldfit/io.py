@@ -109,26 +109,29 @@ def read_field(source) -> FieldData:
         raise DataError(
             f"field file has {len(raw)} values but the header implies {mesh.n_cells}"
         )
+    return FieldData(mesh=mesh, values=_cell_values(raw, "field value at cell"))
+
+
+def _cell_values(raw, label: str, offset: int = 0) -> np.ndarray:
+    """Floats of the tokens ``raw``, each checked to be finite and positive.
+
+    A token that is not a number, or a value that is not positive (the
+    latter named by ``label``), is reported at its index plus ``offset``.
+    """
     try:
         values = np.array(raw, dtype=float)
     except ValueError:
-        values = _parse_values(raw)
+        values = np.empty(len(raw))
+        for j, tok in enumerate(raw):
+            try:
+                values[j] = float(tok)
+            except ValueError as exc:
+                raise DataError(f"non-numeric value {tok!r} at offset {offset + j}") from exc
     bad = ~(values > 0) | ~np.isfinite(values)
     if np.any(bad):
         j = int(np.argmax(bad))
-        raise DataError(f"field value at cell {j} is not positive: {raw[j]}")
-    return FieldData(mesh=mesh, values=values)
-
-
-def _parse_values(raw, offset: int = 0):
-    """Floats of ``raw``; a bad token is reported at its index plus ``offset``."""
-    out = np.empty(len(raw))
-    for j, tok in enumerate(raw):
-        try:
-            out[j] = float(tok)
-        except ValueError as exc:
-            raise DataError(f"non-numeric value {tok!r} at offset {offset + j}") from exc
-    return out
+        raise DataError(f"{label} {offset + j} is not positive: {raw[j]}")
+    return values
 
 
 def write_grid_values(sink, counts, bounds, values) -> None:
@@ -169,14 +172,7 @@ def read_spe10(source, layer: int) -> FieldData:
         )
     start = layer * SPE10_LAYER_VALUES
     raw = tokens[start : start + SPE10_LAYER_VALUES]
-    try:
-        values = np.array(raw, dtype=float)
-    except ValueError:
-        values = _parse_values(raw, start)
-    bad = ~(values > 0) | ~np.isfinite(values)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise DataError(f"SPE10 value at token offset {start + j} is not positive: {raw[j]}")
+    values = _cell_values(raw, "SPE10 value at token offset", start)
     mesh = build_mesh(2, (SPE10_NX, SPE10_NY), ((0.0, SPE10_NX), (0.0, SPE10_NY)))
     return FieldData(mesh=mesh, values=values)
 

@@ -16,6 +16,7 @@ import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +46,15 @@ class Partition:
     def n_subdomains(self) -> int:
         return len(self.boxes)
 
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, ...]:
+        """Per-axis edges of the boxes, the grid on which :func:`grid_index` finds owners."""
+        return uniform_edges(self.shape, self.mesh.bounds)
+
     def subdomain_fields(self, data: FieldData) -> list[SubdomainField]:
-        return [data.subdomain(b) for b in self.boxes]
+        """Each box's cells: those whose centroids :func:`grid_index` gives to it."""
+        owner = grid_index(data.mesh.centroids, self.edges)
+        return [data.cells(b, np.flatnonzero(owner == i)) for i, b in enumerate(self.boxes)]
 
 
 def make_partition(mesh: Mesh, px: int, py: int = 1) -> Partition:
@@ -108,7 +116,7 @@ class GlobalSurrogate:
 
     def evaluate(self, points) -> np.ndarray:
         pts = as_points(points, self.partition.mesh.dim)
-        owner = grid_index(pts, uniform_edges(self.partition.shape, self.partition.mesh.bounds))
+        owner = grid_index(pts, self.partition.edges)
         out = np.empty(pts.shape[0])
         for i in range(self.partition.n_subdomains):
             sel = owner == i

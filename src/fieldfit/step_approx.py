@@ -10,14 +10,13 @@ quadrature check of the error law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit
 
 from .errors import NumericalError
-from .geometry import as_points
+from .rbf import RbfDictionary, shepard_eval
 
 TAIL_BOUND = 1e-14
 
@@ -28,13 +27,15 @@ class StepInterfaceSpec:
 
     The interface is the hyperplane <v, x> + b = 0 with unit normal ``v``;
     the two centers sit at c*v and gamma*c*v with common width ``sigma`` and
-    amplitudes 1 and 0.
+    amplitudes 1 and 0.  |H - K| integrates to below ``TAIL_BOUND`` outside
+    |y| <= ``truncation`` along the normal, which must be finite.
     """
 
     v: np.ndarray
     b: float
     c: float
     sigma: float
+    truncation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.v, dtype=float)).copy()
@@ -52,8 +53,14 @@ class StepInterfaceSpec:
             raise ValueError(
                 f"rate 2(b + c) / sigma^2 must be finite and positive, got sigma={self.sigma}"
             )
+        a = self.rate
+        tail = a * TAIL_BOUND  # 0 once it underflows, and then L is not finite either
+        L = max(np.log(max(1.0 / tail, np.e)) / a, 1.0 / a) * 1.1 if tail > 0 else math.inf
+        if not math.isfinite(L):
+            raise ValueError(f"rate {a:g} has no finite truncation point, got sigma={self.sigma}")
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "truncation", float(L))
 
     @property
     def gamma(self) -> float:
@@ -81,20 +88,12 @@ def logistic_profile(spec: StepInterfaceSpec, y) -> np.ndarray:
 
 
 def two_center_shepard(spec: StepInterfaceSpec, x) -> np.ndarray:
-    """Shepard blend of the two Gaussians, evaluated at points ``x``.
+    """Shepard blend of the two Gaussians at points ``x``, by :func:`shepard_eval`.
 
-    Equals ``logistic_profile(spec, <v, x> + b)`` identically; the exponent
-    difference is formed directly so the identity holds in floating point
-    far from both centers as well.
+    Equals ``logistic_profile(spec, <v, x> + b)`` identically.
     """
-    pts = as_points(x, spec.v.size)
-    c1 = spec.c * spec.v
-    c2 = spec.gamma * spec.c * spec.v
-    e1 = -np.sum((pts - c1) ** 2, axis=1) / (2.0 * spec.sigma**2)
-    e2 = -np.sum((pts - c2) ** 2, axis=1) / (2.0 * spec.sigma**2)
-    w1 = expit(e1 - e2)
-    b1, b2 = spec.beta
-    return b1 * w1 + b2 * (1.0 - w1)
+    pair = RbfDictionary(centers=[spec.c * spec.v, spec.gamma * spec.c * spec.v], widths=spec.sigma)
+    return shepard_eval(x, pair, np.array(spec.beta))
 
 
 @dataclass(frozen=True)
@@ -113,12 +112,14 @@ class L1ErrorResult:
 def l1_error(spec: StepInterfaceSpec) -> L1ErrorResult:
     """Integrate |H - K| along the normal and compare with the error law.
 
-    The integrand decays like exp(-rate*|y|); the truncation point L is
-    chosen so the dropped tail is below ``TAIL_BOUND``.  The integral is
-    split at y = 0 where the integrand has a kink.
+    The integrand decays like exp(-rate*|y|); it is integrated over
+    [-L, L], L = ``spec.truncation``, so the dropped tail is below
+    ``TAIL_BOUND``.  The integral is split at y = 0 where the integrand has
+    a kink.
     """
-    a = spec.rate
-    L = max(np.log(max(1.0 / (a * TAIL_BOUND), np.e)) / a, 1.0 / a) * 1.1
+    from scipy.integrate import quad  # slow to import, and only this function needs it
+
+    L = spec.truncation
 
     def integrand(y):
         return abs(heaviside(y) - float(logistic_profile(spec, y)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fieldfit.adaptive import (
+    DEFAULT_OFFSETS_1D,
     AdaptiveConfig,
     enrich,
     fit_adaptive,
@@ -87,7 +88,7 @@ def test_enrich_three_fresh_centers():
     field = step_field_1d(8)
     sub = field.whole()
     d = centroid_dictionary(sub.centroids, 0.002)
-    centers, widths = enrich(d, [3], sub, eta=0.5, m_q=3)
+    centers, widths = enrich(d, [3], sub, eta=0.5, offsets=DEFAULT_OFFSETS_1D)
     assert centers.shape == (3, 1)
     np.testing.assert_allclose(widths, 0.001)
     dx = sub.cell_size[0]
@@ -99,17 +100,17 @@ def test_enrich_drops_dictionary_duplicates():
     field = step_field_1d(8)
     sub = field.whole()
     d = centroid_dictionary(sub.centroids, 0.002)
-    centers, widths = enrich(d, [3], sub, eta=0.5, m_q=3)
+    centers, widths = enrich(d, [3], sub, eta=0.5, offsets=DEFAULT_OFFSETS_1D)
     d2 = d.extended(centers, widths, generation=1)
     # same cell re-marked with a dictionary already holding the offsets at
     # the same parent width: the narrower tie-break parent makes the new
     # candidates fresh, but forcing the old width reproduces duplicates
-    again, again_w = enrich(d2, [3], sub, eta=0.5, m_q=3)
+    again, again_w = enrich(d2, [3], sub, eta=0.5, offsets=DEFAULT_OFFSETS_1D)
     assert again.shape[0] == 3
     assert np.all(again_w < widths.min())
     # identical-width candidates are dropped
     d3 = d2.extended(again, again_w, generation=2)
-    forced, _ = enrich(d3, [3], sub, eta=1.0 - 1e-16, m_q=3)
+    forced, _ = enrich(d3, [3], sub, eta=1.0 - 1e-16, offsets=DEFAULT_OFFSETS_1D)
     assert forced.shape[0] == 0 or np.all(forced[:, 0] != sub.centroids[3, 0])
 
 
@@ -117,7 +118,7 @@ def test_enrich_clamps_into_box():
     field = step_field_1d(4)
     sub = field.whole()
     d = centroid_dictionary(sub.centroids, 0.002)
-    centers, _ = enrich(d, [0, 3], sub, eta=0.5, m_q=3)
+    centers, _ = enrich(d, [0, 3], sub, eta=0.5, offsets=DEFAULT_OFFSETS_1D)
     assert np.all(centers[:, 0] >= sub.box.lo[0])
     assert np.all(centers[:, 0] <= sub.box.hi[0])
 

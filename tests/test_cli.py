@@ -293,6 +293,7 @@ def test_darcy_pressure_text_export(tmp_path):
         ["verify-theory", "--sigma-values", "0"],
         ["verify-theory", "--sigma-values", "nan"],
         ["verify-theory", "--sigma-values", "1e200"],
+        ["verify-theory", "--sigma-values", "1e150"],
         ["verify-theory", "--sigma-values", "1e-200"],
     ],
 )
@@ -322,8 +323,10 @@ def test_bad_grid_or_parameter_is_config_error(tmp_path, small_field, capsys, ar
          "--sweep"),
         (["verify-theory", "--out", "{dir}/t.csv", "--c-values", "1,,2"], "--c-values"),
         (["verify-theory", "--out", "{dir}/t.csv", "--sigma-values", "0.1;0.2"], "--sigma-values"),
+        (["fit", "--field", "{field}", "--sigma", "0.13", "--out", "{dir}/s.txt", "--mmax", "3",
+          "--offsets", "0,0;x,0;0.25,0"], "--offsets"),
     ],
-    ids=["l1", "l2", "eval-bounds", "darcy-sweep", "c-values", "sigma-values"],
+    ids=["l1", "l2", "eval-bounds", "darcy-sweep", "c-values", "sigma-values", "offsets"],
 )
 def test_malformed_number_list_is_config_error(tmp_path, small_field, capsys, argv, option):
     surrogate = tmp_path / "sur.txt"

@@ -208,6 +208,21 @@ def test_cg_that_cannot_converge_is_numerical_error(monkeypatch):
         solve_darcy(_left_right(tri, _ones))
 
 
+def test_cg_breakdown_stops_at_first_non_finite_iterate(monkeypatch):
+    # the zero preconditioner makes the first step 0/0, so every iterate is NaN
+    calls = []
+
+    def zero_vcycle(levels, coarsest, r, k=0):
+        calls.append(k)
+        return np.zeros_like(r)
+
+    monkeypatch.setattr("fieldfit.darcy._vcycle", zero_vcycle)
+    tri = triangulate(128, 128, ((0, 1), (0, 1)))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="did not converge"):
+        solve_darcy(_left_right(tri, _ones))
+    assert 1 <= len(calls) <= 2
+
+
 def test_no_dirichlet_rejected():
     tri = triangulate(4, 4, ((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="Dirichlet"):

@@ -231,7 +231,7 @@ def test_enriched_step_design_is_certified():
     first = fit_log_field(sub.values, shepard_features(sub.centroids, d0), cfg)
     surrogate = LocalSurrogate(dictionary=d0, beta=first.beta, log_transform=True)
     marked = mark(residual_indicators(surrogate.evaluate(sub.centroids), sub), 1)
-    centers, widths = enrich(d0, marked, sub, eta=0.5, m_q=3)
+    centers, widths = enrich(d0, marked, sub, eta=0.5, offsets=adaptive.DEFAULT_OFFSETS_1D)
     d1 = d0.extended(centers, widths, generation=1)
     assert len(d1) == 19
 

@@ -6,6 +6,7 @@ import pytest
 from fieldfit.errors import DataError
 from fieldfit.fields import FieldData, box_field_2d, smooth_field_2d, step_field_1d
 from fieldfit.geometry import Box, build_mesh
+from fieldfit.partition import make_partition
 from fieldfit.io import (
     SPE10_TOTAL_VALUES,
     read_field,
@@ -31,6 +32,21 @@ def test_single_cell_file():
 def test_zero_value_rejected_with_index():
     with pytest.raises(DataError, match="cell 2"):
         read_field(stdio.StringIO("1 3\n0 1\n1.0 2.0 0.0\n"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 3\n0 1\n1.0 x 2.0\n", "non-numeric value 'x' at offset 1"),
+        ("1 3\n0 1\n1.0 2.0 -3\n", "field value at cell 2 is not positive: -3"),
+        ("1 3\n0 1\nnan 2.0 1.0\n", "field value at cell 0 is not positive: nan"),
+    ],
+    ids=["non-numeric", "negative", "nan"],
+)
+def test_bad_cell_value_message(text, message):
+    with pytest.raises(DataError) as exc:
+        read_field(stdio.StringIO(text))
+    assert str(exc.value) == message
 
 
 def test_count_mismatch_rejected():
@@ -89,8 +105,9 @@ def test_piecewise_eval_matches_floor_formula_inside_cells(counts, bounds):
 
 def test_subdomain_slicing_half_open():
     field = box_field_2d(4, 4)
-    left = field.subdomain(Box(lo=(0, 0), hi=(0.5, 1.0), open_hi=(True, False)))
-    assert left.n_cells == 8
+    left, right = make_partition(field.mesh, 2).subdomain_fields(field)
+    assert left.box == Box(lo=(0, 0), hi=(0.5, 1.0), open_hi=(True, False))
+    assert left.n_cells == right.n_cells == 8
     assert np.all(left.centroids[:, 0] < 0.5)
     np.testing.assert_array_equal(left.values, field.values[left.cell_indices])
 
@@ -136,6 +153,24 @@ def test_spe10_bad_token_reports_offset():
     tokens[5] = "oops"
     with pytest.raises(DataError, match="offset 5"):
         read_spe10(stdio.StringIO(" ".join(tokens)), layer=0)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("oops", "non-numeric value 'oops' at offset 13205"),
+        ("-1", "SPE10 value at token offset 13205 is not positive: -1"),
+        ("inf", "SPE10 value at token offset 13205 is not positive: inf"),
+    ],
+    ids=["non-numeric", "negative", "inf"],
+)
+def test_spe10_bad_value_reports_file_offset(token, message):
+    # layer 1 starts at token 13200, so the offset counts from the start of the file
+    tokens = ["1.0"] * SPE10_TOTAL_VALUES
+    tokens[13205] = token
+    with pytest.raises(DataError) as exc:
+        read_spe10(stdio.StringIO(" ".join(tokens)), layer=1)
+    assert str(exc.value) == message
 
 
 def test_spe10_layer_bounds():

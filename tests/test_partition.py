@@ -10,7 +10,7 @@ from fieldfit.adaptive import AdaptiveConfig, fit_adaptive
 from fieldfit.elastic_net import ElasticNetConfig
 from fieldfit.errors import DataError
 from fieldfit.fields import FieldData, box_field_2d, step_field_1d
-from fieldfit.geometry import build_mesh, grid_index, locate_many, uniform_edges
+from fieldfit.geometry import build_mesh, grid_index, locate_many
 from fieldfit.partition import (
     DictionarySpec,
     GlobalSurrogate,
@@ -93,7 +93,7 @@ def test_partition_centroid_map_matches_locate():
     ids=["1", "3x1", "1x1", "2x2", "4x2"],
 )
 def test_grid_owner_matches_locate_many(counts, bounds, grid):
-    """Owners by per-axis search agree with the box scan on faces, corners and interiors."""
+    """Owners on the partition's edges agree with the box scan on faces, corners and interiors."""
     mesh = build_mesh(len(counts), counts, bounds)
     part = make_partition(mesh, *grid)
     rng = np.random.default_rng(5)
@@ -108,8 +108,10 @@ def test_grid_owner_matches_locate_many(counts, bounds, grid):
     for k, pts in enumerate(faces):
         pts[:, k] = rng.choice(box_edges[k], 500)
     pts = np.vstack([corners, inside, *faces])
-    owner = grid_index(pts, uniform_edges(part.shape, mesh.bounds))
+    owner = grid_index(pts, part.edges)
     np.testing.assert_array_equal(owner, locate_many(pts, part.boxes))
+    # the fits' cells come from the same edges
+    np.testing.assert_array_equal(_cell_owner(part), locate_many(mesh.centroids, part.boxes))
 
 
 def _hand_surrogate_1d():

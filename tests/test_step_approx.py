@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fieldfit
 from fieldfit.step_approx import (
     StepInterfaceSpec,
     error_grid,
@@ -119,3 +124,22 @@ def test_l1_error_halves_symmetric():
     res = l1_error(StepInterfaceSpec(v=E1, b=0.3, c=0.9, sigma=0.15))
     assert res.lower_half == pytest.approx(res.upper_half, rel=1e-8)
     assert res.lower_half + res.upper_half == pytest.approx(res.numeric, rel=1e-15)
+
+
+def test_rate_without_finite_truncation_is_rejected():
+    # rate 2e-300: the tail bound would hold only outside an interval wider than any float
+    with pytest.raises(ValueError, match="no finite truncation"):
+        StepInterfaceSpec(v=E1, b=0.0, c=1.0, sigma=1e150)
+    spec = StepInterfaceSpec(v=E1, b=0.0, c=1.0, sigma=1e100)
+    assert np.isfinite(spec.truncation)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate is slow to import, and only l1_error needs it
+    src = os.path.dirname(os.path.dirname(fieldfit.__file__))
+    code = "import sys, fieldfit; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
