@@ -151,27 +151,17 @@ def mark(indicators, k_top: int) -> np.ndarray:
     return order[:k_top]
 
 
-def _nearest_entry(dictionary: RbfDictionary, point: np.ndarray) -> int:
-    """Nearest dictionary entry; ties resolve to the narrowest, then oldest.
-
-    Preferring the narrowest width among equidistant entries lets a cell that
-    is marked repeatedly keep spawning strictly finer bases instead of
-    regenerating duplicates of the previous round.
-    """
-    d2 = np.sum((dictionary.centers - point[None, :]) ** 2, axis=1)
-    idx = np.lexsort((np.arange(len(dictionary)), dictionary.widths, d2))
-    return int(idx[0])
-
-
 def enrich(dictionary: RbfDictionary, marked, sub: SubdomainField, eta: float, offsets):
     """New (center, width) entries for the marked cells.
 
     Each marked cell contributes one center per entry of ``offsets`` (in
     units of the cell size, see :meth:`AdaptiveConfig.offsets_for_dim`) from
     its centroid, clamped into the subdomain box, with width eta times the
-    width of the nearest existing entry.  Candidates that duplicate an
-    existing dictionary entry are dropped; an empty result signals the
-    caller to stop refining.
+    width of the nearest existing entry.  Equidistant entries resolve to
+    the narrowest, then the oldest, so that a cell marked again keeps
+    spawning strictly finer bases instead of duplicates of the last round.
+    Candidates that duplicate an existing dictionary entry are dropped; an
+    empty result signals the caller to stop refining.
     """
     marked = np.asarray(marked, dtype=int)
     if marked.size == 0:
@@ -181,7 +171,13 @@ def enrich(dictionary: RbfDictionary, marked, sub: SubdomainField, eta: float, o
     scale = np.asarray(sub.cell_size, dtype=float)
 
     cells = sub.centroids[marked]
-    widths = eta * dictionary.widths[[_nearest_entry(dictionary, x_t) for x_t in cells]]
+    # squared distances to the entries ordered by (width, index), so the
+    # first minimum of a row is the narrowest, then oldest, nearest entry
+    order = np.argsort(dictionary.widths, kind="stable")
+    d2 = np.zeros((cells.shape[0], order.shape[0]))
+    for k in range(dim):
+        d2 += np.subtract.outer(cells[:, k], dictionary.centers[order, k]) ** 2
+    widths = eta * dictionary.widths[order[np.argmin(d2, axis=1)]]
     # candidates in marked-cell order, offsets within a cell in order
     centers = sub.box.clamp(cells[:, None, :] + offsets[None, :, :] * scale).reshape(-1, dim)
     widths = np.repeat(widths, offsets.shape[0])

@@ -114,6 +114,22 @@ def test_enrich_drops_dictionary_duplicates():
     assert forced.shape[0] == 0 or np.all(forced[:, 0] != sub.centroids[3, 0])
 
 
+def test_enrich_nearest_entry_ties_go_to_the_narrowest_then_oldest():
+    sub = box_field_2d(4, 4).whole()
+    cells = [int(np.flatnonzero((sub.centroids == c).all(axis=1))[0])
+             for c in ([0.375, 0.375], [0.875, 0.875])]
+    # four entries at exactly 0.125 from the first centroid: the oldest is
+    # the widest, and two equally narrow ones come after it; the narrowest
+    # entry of all is farther away, and alone nearest to the second centroid
+    d = RbfDictionary(
+        centers=[[0.25, 0.375], [0.5, 0.375], [0.375, 0.5], [0.375, 0.25], [0.875, 0.75]],
+        widths=[0.04, 0.02, 0.01, 0.01, 0.005],
+        generations=[0, 1, 2, 3, 4],
+    )
+    _, widths = enrich(d, cells, sub, eta=0.5, offsets=((0.0, 0.0),))
+    np.testing.assert_array_equal(widths, [0.005, 0.0025])
+
+
 def test_enrich_clamps_into_box():
     field = step_field_1d(4)
     sub = field.whole()

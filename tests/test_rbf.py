@@ -147,10 +147,9 @@ def _mixed_width_dictionary(rng, m, dim, lo=0.0, hi=1.0):
     )
 
 
-def _layout(points, d):
-    """(tiles, most GEMM row blocks in one tile) of shepard_eval on these points."""
-    order, starts, lo, hi = rbf._tiles(np.asarray(points, dtype=float), d)
-    return starts.shape[0] - 1, int(np.max(-(-np.diff(starts) // rbf._GEMM_ROWS)))
+def _blocks(points):
+    """GEMM row blocks of shepard_eval on this batch."""
+    return -(-len(points) // rbf._GEMM_ROWS)
 
 
 @pytest.mark.parametrize("dim, m, n", [(1, 250, 6000), (2, 600, 20000)])
@@ -159,8 +158,7 @@ def test_shepard_eval_is_pointwise(dim, m, n):
     d = _mixed_width_dictionary(rng, m, dim)
     beta = rng.standard_normal(m)
     pts = rng.uniform(-0.2, 1.2, (n, dim))
-    tiles, blocks = _layout(pts, d)
-    assert tiles >= 4 and blocks >= 2
+    assert _blocks(pts) >= 2
     batch = shepard_eval(pts, d, beta)
     for j in rng.choice(n, 60, replace=False):
         np.testing.assert_array_equal(shepard_eval(pts[j : j + 1], d, beta), batch[j : j + 1])
@@ -231,11 +229,29 @@ def test_lattice_eval_is_pointwise_across_gemm_blocks():
     )
     rng = np.random.default_rng(37)
     beta = rng.standard_normal(len(d))
-    # most points in one tile of side 4 * 0.031 at the lattice's first centre
     pts = np.vstack([0.016 + 0.12 * rng.random((4 * rbf._GEMM_ROWS, 2)), rng.random((500, 2)) * 0.5])
-    tiles, blocks = _layout(pts, d)
-    assert blocks >= 3
+    assert _blocks(pts) >= 3
     got = _assert_pointwise(pts, d, beta, rng)
+    np.testing.assert_allclose(got, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=1e-13)
+
+
+def test_narrow_widths_cost_whole_blocks(monkeypatch):
+    # sigma = 0.002 cells, about the SPE10 preset's ratio of width to cell
+    xs = np.arange(20) + 0.5
+    centroids = np.array([[x, y] for x in xs for y in xs])
+    d = centroid_dictionary(centroids, 0.002)
+    beta = np.random.default_rng(41).standard_normal(len(d))
+    pts = np.vstack([centroids, centroids + [0.3, 0.0]])
+    calls = []
+    blend = rbf._blend_block
+
+    def counted(*args):
+        calls.append(1)
+        return blend(*args)
+
+    monkeypatch.setattr(rbf, "_blend_block", counted)
+    got = shepard_eval(pts, d, beta)
+    assert len(calls) <= _blocks(pts)
     np.testing.assert_allclose(got, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=1e-13)
 
 
