@@ -24,6 +24,7 @@ by that factorization, in one CG iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -38,7 +39,7 @@ from .io import write_grid_values
 FACES_2D = ("left", "right", "bottom", "top")
 FACES_1D = ("left", "right")
 # the one triangle each face edge belongs to, indexed into the
-# (row, column, lower/upper) triangle grid along the face
+# (row, column, lower/upper) triangle grid; row and column alone give its nodes
 _FACE_OWNER = {
     "left": (slice(None), 0, 1),
     "right": (slice(None), -1, 0),
@@ -60,27 +61,42 @@ _SEMI_RATIO = 2.0**0.5
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Structured triangle mesh of a rectangle, possibly with disk holes."""
+    """Structured triangle mesh of a rectangle, possibly with disk holes, held as its axes."""
 
-    counts: tuple[int, int]
     bounds: tuple[tuple[float, float], tuple[float, float]]
-    nodes: np.ndarray  # (n_nodes, 2)
-    triangles: np.ndarray  # (n_tri, 3), counterclockwise
+    axes: tuple[np.ndarray, np.ndarray]  # node coordinates along x and along y
     tri_kept: np.ndarray  # mask into the full 2*nx*ny triangle list
 
     @property
+    def counts(self) -> tuple[int, int]:
+        return self.axes[0].size - 1, self.axes[1].size - 1
+
+    @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return self.axes[0].size * self.axes[1].size
 
     @property
     def dim(self) -> int:
         return 2
 
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(n_nodes, 2) node coordinates, row-major with x fastest."""
+        return grid_points(self.axes)
+
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        """(n_tri, 3) kept triangles: per cell (00, 10, 11), then (00, 11, 01)."""
+        nx, ny = self.counts
+        n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).reshape(-1, 1, 1)
+        corners = n00 + np.array([[0, 1, nx + 2], [0, nx + 2, nx + 1]])
+        return self._kept(corners.reshape(-1, 3))
+
     def centroids(self) -> np.ndarray:
-        return self._kept(_full_centroids(*_axes(self)))
+        return self._kept(_full_centroids(*self.axes))
 
     def areas(self) -> np.ndarray:
-        xs, ys = _axes(self)
+        xs, ys = self.axes
         cell = 0.5 * (np.diff(xs) * np.diff(ys)[:, None])
         return self._kept(np.repeat(cell.ravel(), 2))
 
@@ -89,23 +105,10 @@ class Triangulation:
         return full if self.tri_kept.all() else full[self.tri_kept]
 
     def face_nodes(self, face: str) -> np.ndarray:
-        xs, ys = _axes(self)
-        (x0, x1), (y0, y1) = self.bounds
-        if face in ("left", "right"):
-            i = np.flatnonzero(xs == (x0 if face == "left" else x1))
-            j = np.arange(ys.size)
-        elif face in ("bottom", "top"):
-            i = np.arange(xs.size)
-            j = np.flatnonzero(ys == (y0 if face == "bottom" else y1))
-        else:
+        if face not in _FACE_OWNER:
             raise ValueError(f"unknown face {face!r}; expected one of {FACES_2D}")
-        return (j[:, None] * xs.size + i).ravel()
-
-
-def _axes(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    """Node coordinates along x and along y, read off the node grid."""
-    nx = tri.counts[0]
-    return tri.nodes[: nx + 1, 0], tri.nodes[:: nx + 1, 1]
+        nx, ny = self.counts
+        return np.arange(self.n_nodes).reshape(ny + 1, nx + 1)[_FACE_OWNER[face][:2]]
 
 
 def _full_centroids(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -168,34 +171,16 @@ def triangulate(nx: int, ny: int, bounds, holes=()) -> Triangulation:
     if nx < 1 or ny < 1:
         raise ValueError(f"grid counts must be >= 1, got {(nx, ny)}")
     b = np.asarray(bounds, dtype=float).reshape(2, 2)
-    xs = np.linspace(b[0, 0], b[0, 1], nx + 1)
-    ys = np.linspace(b[1, 0], b[1, 1], ny + 1)
-    nodes = grid_points((xs, ys))
-
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    n00 = (jj * (nx + 1) + ii).ravel()
-    n10 = n00 + 1
-    n01 = n00 + (nx + 1)
-    n11 = n01 + 1
-    lower = np.column_stack([n00, n10, n11])
-    upper = np.column_stack([n00, n11, n01])
-    triangles = np.empty((2 * nx * ny, 3), dtype=int)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-
-    kept = np.ones(triangles.shape[0], dtype=bool)
+    axes = (np.linspace(b[0, 0], b[0, 1], nx + 1), np.linspace(b[1, 0], b[1, 1], ny + 1))
+    kept = np.ones(2 * nx * ny, dtype=bool)
     if holes:
-        cent = _full_centroids(xs, ys)
+        cent = _full_centroids(*axes)
         for cx, cy, r in holes:
             kept &= (cent[:, 0] - cx) ** 2 + (cent[:, 1] - cy) ** 2 > r**2
         if not np.any(kept):
             raise ValueError("holes remove every triangle")
     return Triangulation(
-        counts=(nx, ny),
-        bounds=((b[0, 0], b[0, 1]), (b[1, 0], b[1, 1])),
-        nodes=nodes,
-        triangles=triangles[kept],
-        tri_kept=kept,
+        bounds=((b[0, 0], b[0, 1]), (b[1, 0], b[1, 1])), axes=axes, tri_kept=kept
     )
 
 
@@ -261,7 +246,7 @@ def _interp_p1(tri: Triangulation, values: np.ndarray, points) -> np.ndarray:
     nx, ny = tri.counts
     (x0, x1), (y0, y1) = tri.bounds
     dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
-    iy, ix = np.divmod(grid_index(pts, _axes(tri)), nx)
+    iy, ix = np.divmod(grid_index(pts, tri.axes), nx)
     xi = (pts[:, 0] - x0) / dx - ix
     yi = (pts[:, 1] - y0) / dy - iy
     # barycentric weights on the corners 00, 10, 01, 11 of the triangle
@@ -487,7 +472,7 @@ def _assemble_2d(problem: DarcyProblem):
     """
     mesh: Triangulation = problem.mesh
     nx, ny = mesh.counts
-    xs, ys = _axes(mesh)
+    xs, ys = mesh.axes
     cent = mesh.centroids()
 
     k, f = _sample(problem, cent, "triangle")

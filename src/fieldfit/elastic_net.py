@@ -337,8 +337,9 @@ def _sign_pattern_finish(W, y, signs, config: ElasticNetConfig):
         if not np.array_equal(np.sign(b_active), s):
             return None
         beta[active] = b_active
-    objective = objective_value(W, y, beta, config)
-    if not duality_gap(W, y, beta, config) <= GAP_RTOL * objective:
+    theta = y - W @ beta
+    objective = _objective(theta, beta, config)
+    if not _gap(W, y, beta, theta, config) <= GAP_RTOL * objective:
         return None
     return beta, objective
 

@@ -36,25 +36,38 @@ SURROGATE_VERSION = 1
 
 @dataclass(frozen=True)
 class Partition:
-    """Decomposition of a mesh into a (px, py) grid of half-open boxes."""
+    """Decomposition of a mesh into a (px, py) grid of half-open boxes, held as its shape."""
 
     mesh: Mesh
     shape: tuple[int, ...]
-    boxes: tuple[Box, ...]
 
     @property
     def n_subdomains(self) -> int:
-        return len(self.boxes)
+        return math.prod(self.shape)
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, ...]:
         """Per-axis edges of the boxes, the grid on which :func:`grid_index` finds owners."""
         return uniform_edges(self.shape, self.mesh.bounds)
 
+    @cached_property
+    def boxes(self) -> tuple[Box, ...]:
+        """The boxes, x fastest; every upper face but the domain's own is open."""
+        # per axis, each interval as (lo, hi, upper face open)
+        spans = [
+            [(e[i], e[i + 1], i < len(e) - 2) for i in range(len(e) - 1)]
+            for e in map(np.ndarray.tolist, self.edges)
+        ]
+        return tuple(Box(*zip(*cell[::-1])) for cell in itertools.product(*spans[::-1]))
+
+    def owned(self, points) -> list[np.ndarray]:
+        """Each box's points, as ascending indices, from one :func:`grid_index` pass."""
+        owner = grid_index(points, self.edges)
+        return [np.flatnonzero(owner == i) for i in range(self.n_subdomains)]
+
     def subdomain_fields(self, data: FieldData) -> list[SubdomainField]:
-        """Each box's cells: those whose centroids :func:`grid_index` gives to it."""
-        owner = grid_index(data.mesh.centroids, self.edges)
-        return [data.cells(b, np.flatnonzero(owner == i)) for i, b in enumerate(self.boxes)]
+        """Each box's cells: those whose centroids it owns."""
+        return [data.cells(b, c) for b, c in zip(self.boxes, self.owned(data.mesh.centroids))]
 
 
 def make_partition(mesh: Mesh, px: int, py: int = 1) -> Partition:
@@ -67,15 +80,10 @@ def make_partition(mesh: Mesh, px: int, py: int = 1) -> Partition:
             raise ValueError(f"p{axis} must be >= 1, got {p}")
         if n % p != 0:
             raise ValueError(f"p{axis}={p} does not divide n{axis}={n}")
-
-    edges = uniform_edges(shape, mesh.bounds)
-    # per axis, each interval as (lo, hi, upper face open); boxes run with x fastest
-    spans = [
-        [(e[i], e[i + 1], i < len(e) - 2) for i in range(len(e) - 1)]
-        for e in map(np.ndarray.tolist, edges)
-    ]
-    boxes = [Box(*zip(*cell[::-1])) for cell in itertools.product(*spans[::-1])]
-    return Partition(mesh=mesh, shape=shape, boxes=tuple(boxes))
+    part = Partition(mesh=mesh, shape=shape)
+    if not all(np.all(np.diff(e) > 0) for e in part.edges):
+        raise ValueError(f"degenerate boxes: {shape} boxes over {mesh.bounds} collapse in rounding")
+    return part
 
 
 @dataclass(frozen=True)
@@ -116,12 +124,10 @@ class GlobalSurrogate:
 
     def evaluate(self, points) -> np.ndarray:
         pts = as_points(points, self.partition.mesh.dim)
-        owner = grid_index(pts, self.partition.edges)
         out = np.empty(pts.shape[0])
-        for i in range(self.partition.n_subdomains):
-            sel = owner == i
-            if np.any(sel):
-                out[sel] = self.locals[i].evaluate(pts[sel])
+        for loc, idx in zip(self.locals, self.partition.owned(pts)):
+            if idx.size:
+                out[idx] = loc.evaluate(pts[idx])
         return out
 
 
@@ -164,7 +170,7 @@ def _fit_one(args):
         raise type(exc)(f"subdomain {index}: {exc}") from exc
     except Exception as exc:  # noqa: BLE001 - annotate with the subdomain index
         raise RuntimeError(f"fit failed on subdomain {index}: {exc}") from exc
-    return index, surrogate, tuple(reports), time.perf_counter() - t0
+    return surrogate, tuple(reports), time.perf_counter() - t0
 
 
 def fit_parallel(
@@ -209,11 +215,11 @@ def fit_parallel(
                 results = list(pool.map(_fit_one, tasks))
     total = time.perf_counter() - t0
 
-    results.sort(key=lambda r: r[0])
-    locals_ = tuple(r[1] for r in results)
+    # the serial loop and pool.map both return results in task order
+    locals_, rounds, seconds = zip(*results)
     report = ParallelFitReport(
-        rounds=tuple(r[2] for r in results),
-        seconds=tuple(r[3] for r in results),
+        rounds=rounds,
+        seconds=seconds,
         total_seconds=total,
         workers=workers,
         max_concurrent=used,

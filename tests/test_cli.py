@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from fieldfit.cli import _build_parser, _provenance, main
 from fieldfit.fields import FieldData, box_field_2d
 from fieldfit.geometry import build_mesh
 from fieldfit.io import write_field
-from fieldfit.partition import load
+from fieldfit.partition import load, make_partition
 
 
 @pytest.fixture()
@@ -126,6 +127,44 @@ def test_ill_conditioned_least_squares_fit_prints_no_warning(tmp_path, capsys):
             "--out", str(tmp_path / "s.txt")]
     assert main(argv) == 0
     assert "warning" not in capsys.readouterr().err
+
+
+def test_fit_prints_the_misfit_of_its_reports(tmp_path, capsys):
+    # an unpenalized fit with |beta| up to 2e12, where re-evaluating the
+    # surrogate at the cells would differ from its rounds' own expansions
+    field = box_field_2d()
+    path, reports = tmp_path / "box32.txt", tmp_path / "rounds.csv"
+    write_field(field, path)
+    argv = ["fit", "--field", str(path), "--sigma", "0.13", "--px", "2", "--py", "2",
+            "--out", str(tmp_path / "s.txt"), "--reports", str(reports)]
+    assert main(argv) == 0
+    last = {}
+    for row in reports.read_text().splitlines()[2:]:
+        sub, _, _, _, rel = row.split(",")[:5]
+        last[int(sub)] = float(rel)
+    subs = make_partition(field.mesh, 2, 2).subdomain_fields(field)
+    den = [s.cell_measure * np.sum(s.values**2) for s in subs]
+    err = np.sqrt(sum(last[i] ** 2 * d for i, d in enumerate(den)) / sum(den))
+    assert f"rel_l2={err:.6e}," in capsys.readouterr().out
+
+
+def test_fit_l1_list_gives_each_subdomain_its_own_lambda(tmp_path, small_field, capsys):
+    lams = ["1e-4", "4.59e-4", "1e-3", "3e-3"]
+
+    def fit(out, l1):
+        return main(_fit_args(small_field, out, **{"--px": "2", "--py": "2", "--l1": l1}))
+
+    listed = tmp_path / "listed.txt"
+    assert fit(listed, ",".join(lams)) == 0
+    for i, lam in enumerate(lams):
+        alone = tmp_path / f"alone{i}.txt"
+        assert fit(alone, lam) == 0
+        np.testing.assert_array_equal(load(listed).locals[i].beta, load(alone).locals[i].beta)
+    capsys.readouterr()
+    three = tmp_path / "three.txt"
+    assert fit(three, ",".join(lams[:3])) == 2
+    assert "--l1 has 3 entries for 4 subdomains" in capsys.readouterr().err
+    assert not three.exists()
 
 
 def test_fit_missing_field_is_data_error(tmp_path):
@@ -247,6 +286,33 @@ def test_darcy_sweep_reports_slope(tmp_path, small_field):
         fields = dict(kv.split("=") for kv in s)
         assert (fields["method"], fields["iterations"], fields["levels"]) == ("cg", "1", "1")
         assert float(fields["residual"]) <= 1e-10
+
+
+def test_field_only_sweep_fits_its_slope_over_the_nonzero_rows(small_field, capsys):
+    # the reference is the staircase solve on the finest mesh, so that row is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's warnings would go to stderr
+        assert main(["darcy", "--field", str(small_field), "--sweep", "8,16,32"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert float(lines[-2].split(",")[2]) == 0.0
+    assert lines[-1].startswith("# slope=") and np.isfinite(float(lines[-1][len("# slope="):]))
+    assert err == ""
+
+
+@pytest.mark.parametrize("option", ["--out", "--out-text"])
+def test_darcy_sweep_with_one_solution_output_is_config_error(
+    tmp_path, small_field, capsys, monkeypatch, option
+):
+    def no_solve(problem):
+        raise AssertionError("a solve ran before the options were checked")
+
+    monkeypatch.setattr("fieldfit.cli.solve_darcy", no_solve)
+    out = tmp_path / "p.txt"
+    assert main(["darcy", "--field", str(small_field), "--sweep", "2,4", option, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--out and --out-text" in err and "--sweep" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--sweep", "4,8"]], ids=["plain", "sweep"])

@@ -185,6 +185,15 @@ def test_pressure_rel_error_identity_and_scaling():
     assert pressure_rel_error(sol, scaled) == pytest.approx(eps, rel=1e-10)
 
 
+def test_pressure_rel_error_1d_closed_form():
+    # p_ref = 1 - x on [0, 1] and p_test = p_ref + c: |c| / sqrt(1/3) = |c| sqrt(3)
+    ref_mesh, test_mesh = line_mesh(16, (0, 1)), line_mesh(5, (0, 1))
+    ref = PressureSolution(mesh=ref_mesh, values=1.0 - ref_mesh.nodes, diagnostics={})
+    for c in (1e-3, -0.25):
+        test = PressureSolution(mesh=test_mesh, values=1.0 - test_mesh.nodes + c, diagnostics={})
+        assert pressure_rel_error(ref, test) == pytest.approx(abs(c) * np.sqrt(3.0), rel=1e-12)
+
+
 def test_pressure_rel_error_zero_norm_rejected():
     tri = triangulate(4, 4, ((0, 1), (0, 1)))
     sol = solve_darcy(_left_right(tri, _ones))

@@ -22,6 +22,7 @@ from fieldfit.partition import (
     save,
 )
 from fieldfit.rbf import LocalSurrogate, centroid_dictionary
+from oracles import shepard_direct
 
 EN_2D = ElasticNetConfig(lam1=4.59e-4, lam2=1e-4, tol=1e-6, max_iters=2000)
 PLAIN_CFG = AdaptiveConfig(m_max=0, elastic=EN_2D)
@@ -66,6 +67,12 @@ def test_partition_rejects_nondividing():
         make_partition(mesh, 3, 2)
 
 
+def test_partition_rejects_boxes_that_collapse_in_rounding():
+    mesh = build_mesh(1, 16, (1.0, 1.0 + 1e-15))
+    with pytest.raises(ValueError, match="degenerate"):
+        make_partition(mesh, 16)
+
+
 def test_partition_boxes_cover_domain_once():
     mesh = build_mesh(2, (16, 16), ((0, 1), (0, 1)))
     part = make_partition(mesh, 4, 2)
@@ -89,8 +96,9 @@ def test_partition_centroid_map_matches_locate():
         ((16, 8), ((-0.3, 1.7), (0.2, 0.9)), (1, 1)),
         ((16, 8), ((-0.3, 1.7), (0.2, 0.9)), (2, 2)),
         ((16, 8), ((-0.3, 1.7), (0.2, 0.9)), (4, 2)),
+        ((32, 32), ((0, 1), (0, 1)), (8, 8)),
     ],
-    ids=["1", "3x1", "1x1", "2x2", "4x2"],
+    ids=["1", "3x1", "1x1", "2x2", "4x2", "8x8"],
 )
 def test_grid_owner_matches_locate_many(counts, bounds, grid):
     """Owners on the partition's edges agree with the box scan on faces, corners and interiors."""
@@ -112,6 +120,28 @@ def test_grid_owner_matches_locate_many(counts, bounds, grid):
     np.testing.assert_array_equal(owner, locate_many(pts, part.boxes))
     # the fits' cells come from the same edges
     np.testing.assert_array_equal(_cell_owner(part), locate_many(mesh.centroids, part.boxes))
+
+
+def test_evaluate_on_64_boxes_matches_direct_sums_box_by_box():
+    """Every point takes the value of its own box's surrogate, on each of 64 boxes."""
+    part = make_partition(build_mesh(2, (32, 32), ((0, 1), (0, 1))), 8, 8)
+    rng = np.random.default_rng(11)
+    locals_ = tuple(
+        LocalSurrogate(centroid_dictionary(rng.uniform(b.lo, b.hi, (6, 2)), 0.05),
+                       rng.normal(size=6))
+        for b in part.boxes
+    )
+    sur = GlobalSurrogate(partition=part, locals=locals_)
+    # random points, then every corner of the box grid, outer ones included
+    corners = np.stack(np.meshgrid(*part.edges), axis=-1).reshape(-1, 2)
+    pts = np.vstack([rng.random((20000, 2)), corners])
+    values = sur.evaluate(pts)
+    owner = locate_many(pts, part.boxes)
+    assert np.all(np.bincount(owner, minlength=64) > 0)
+    for i, loc in enumerate(locals_):
+        d, sel = loc.dictionary, owner == i
+        direct = np.exp(shepard_direct(pts[sel], d.centers, d.widths, loc.beta))
+        np.testing.assert_allclose(values[sel], direct, rtol=1e-13, atol=0)
 
 
 def _hand_surrogate_1d():
