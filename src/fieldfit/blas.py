@@ -1,9 +1,10 @@
 """Run a block of code with OpenBLAS on one thread.
 
-Subdomain fits and Shepard evaluation use :func:`one_blas_thread`: results
-can depend on the BLAS thread count, and on two cores OpenBLAS's default
-threading made small products both slower and erratic.  The thread-count
-controls are looked up once per process, the first time a block runs.
+Subdomain fits, Shepard evaluation and Darcy solves use
+:func:`one_blas_thread`: results can depend on the BLAS thread count, and
+on two cores OpenBLAS's default threading made small products both slower
+and erratic.  The thread-count controls are looked up once per process,
+the first time a block runs.
 """
 
 from __future__ import annotations

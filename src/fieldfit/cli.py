@@ -260,6 +260,8 @@ def cmd_eval(args) -> int:
         bounds = [v for b in mesh.bounds for v in b]
     if mesh.dim == 2 and args.ny is None:
         raise ConfigError("--ny is required for 2-D surrogates")
+    if mesh.dim == 1 and args.ny is not None:
+        raise ConfigError(f"--ny={args.ny} is given for a 1-D surrogate, which has no y-axis")
     try:
         pts = _grid_points(args.nx, args.ny, bounds, mesh.dim)
     except ValueError as exc:

@@ -32,6 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
+from .blas import one_blas_thread
 from .errors import NumericalError
 from .geometry import as_points, check_inside, grid_index, grid_points
 from .io import write_grid_values
@@ -274,15 +275,18 @@ def _as_func(value):
     return lambda pts, v=float(value): np.full(len(pts), v)
 
 
+@one_blas_thread()
 def solve_darcy(problem: DarcyProblem) -> PressureSolution:
-    """Assemble and solve the P1 system for the pressure.
+    """Assemble and solve the P1 system for the pressure, on one BLAS thread.
 
     The matrix is the 5-point stencil of ``_assemble_2d`` in 2D and the
     tridiagonal matrix of ``_assemble_1d`` in 1D; ``system`` holds it in
     CSR, with the load vector, before Dirichlet nodes are removed.  2D
     systems are solved by ``scipy.sparse.linalg.cg`` preconditioned by one
     multigrid V(2,2) cycle, stopped by :class:`NumericalError` at its first
-    non-finite iterate; 1D systems by LAPACK ``dptsv``.
+    non-finite iterate; 1D systems by LAPACK ``dptsv``.  CG's dot products
+    and norms take other bits on another count of BLAS threads, so the
+    whole solve runs on one and the pressures do not depend on the caller's.
     ``diagnostics`` holds ``method`` ("cg" in 2D, "direct" in 1D, "none"
     without free nodes), ``iterations``, ``levels`` (multigrid levels, 1 for
     a direct solve) and ``residual`` (relative, of the reduced system).

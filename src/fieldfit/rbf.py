@@ -9,9 +9,12 @@ Evaluation factorizes each Gaussian per axis: each group of equal-width
 centres is summed as a table of x-factors contracted by GEMM with a table
 of coefficients over the group's coordinate lattice, then multiplied point
 by point with a table of y-factors.  Points run in input order in blocks
-of fixed size over every group's whole tables, so a point costs about as
-many ``exp`` calls as the dictionary has distinct coordinates per axis and
-width, and its value is independent of the other points evaluated with it.
+over every group's whole tables, so a point costs about as many ``exp``
+calls as the dictionary has distinct coordinates per axis and width.  A
+block's size depends only on the dictionary: as many points as keep its
+per-axis tables near 1 MB, and at least 512.  So small dictionaries run in
+few large blocks, and a point's value is independent of the other points
+evaluated with it.
 """
 
 from __future__ import annotations
@@ -24,20 +27,29 @@ from .blas import one_blas_thread
 from .geometry import Box, as_points, grid_points
 
 # log_features computes exponents in row blocks whose (rows, M) float64
-# array takes about 1 MB, so a block and its one scratch array stay small
+# array takes about 1 MB, so a block and its one scratch array stay small;
+# shepard_eval sizes its blocks' per-axis tables to the same budget
 _EVAL_BLOCK_BYTES = 2**20
 # log of the factor 2^53 e^2 by which shepard_eval's exact-row threshold
 # exceeds M tiny, the most that its zeroed factors can weigh together
 _DROP_LOG_MARGIN = 53.0 * np.log(2.0) + 2.0
 # exponents below this give subnormal or zero factors, which are set to 0
 _LOG_TINY = np.log(np.finfo(float).tiny)
-# shepard_eval evaluates points in blocks of this many, the last one
-# padded, so that every GEMM of a group has one shape: OpenBLAS gives a
+# shepard_eval evaluates points in blocks of _block_rows(tables), the last
+# one padded, so that every GEMM of a group has one shape: OpenBLAS gives a
 # row other bits in A[lo:j+1] @ C than in A @ C, but not across products
-# of one fixed shape.  On 25,000 points of one 16x16-lattice subdomain
-# (mesh-transfer), blocks of 256, 512 and 1024 took 8.1, 6.4 and 5.6 ms,
-# and 0.19, 0.23 and 0.31 ms for 128 points (2-core VM, OpenBLAS 0.3.31,
-# one thread, minima of 5 repeats).
+# of one fixed shape.  A block holds as many points as keep its per-axis
+# tables within _EVAL_BLOCK_BYTES, and never fewer than this floor.  At
+# 10^5 points the 22-key step1d surrogate took 20, 15, 12.4 and 12.6 ms in
+# blocks of 512, 1024, 2048 and 4096 (4096 by the budget); at 25,000
+# points a 16x16-lattice subdomain (mesh-transfer) took 6.8-7.8 ms at 512
+# and 5.4-7.2 ms at 2048 (its budget), but 0.55-0.80 ms against 0.25-0.38
+# for 128 points.  The whole-domain case-adaptive surrogate (224 x- and 99
+# y-keys) gets 128 rows from the budget alone (it allows 251); at 32,768
+# centroids it took 137-160 ms in blocks of 128 and 113-140 ms at this
+# floor, with 256 in between and 1024 at 184-192 ms (2-core VM, OpenBLAS
+# 0.3.31, one thread, minima of 9 calls over 3 runs after a warm-up).  No
+# benchmarked workload reaches the floor: box-adaptive gets 512 by budget.
 _GEMM_ROWS = 512
 
 
@@ -199,6 +211,19 @@ class _AxisTables:
         self.spans = list(zip(kx[:-1], kx[1:], ky[:-1], ky[1:]))
 
 
+def _block_rows(tables: _AxisTables) -> int:
+    """Points per block of :func:`shepard_eval` over these tables.
+
+    The largest power of two r whose per-axis tables, the (kx + 3 ky, r)
+    float64 rows of x-factors, y-factors and GEMM products over all kx x-
+    and ky y-keys, fit in ``_EVAL_BLOCK_BYTES``, and never fewer than
+    ``_GEMM_ROWS``.  It depends on the dictionary alone, so every block of
+    every call over one dictionary has one shape.
+    """
+    fit = _EVAL_BLOCK_BYTES // (8 * (tables.xk.shape[0] + 3 * tables.yk.shape[0]))
+    return max(_GEMM_ROWS, 1 << max(fit.bit_length() - 1, 0))
+
+
 def _blend_block(x, y, tables: _AxisTables):
     """(numerator, denominator) of the Shepard blend at one block of points.
 
@@ -211,9 +236,10 @@ def _blend_block(x, y, tables: _AxisTables):
     -inf, so its factor is exactly 0 instead of a subnormal, which ``exp``
     computes on a slow path; M such weights stay below M tiny, 2^-53 e^-2
     of any denominator that is not recomputed exactly.  Every array has the
-    block's points as its last axis and every block has ``_GEMM_ROWS``
-    points, so all reductions run along whole rows and each group's GEMM
-    has one shape: no point's sums depend on the other points of the block.
+    block's points as its last axis and every block over these tables has
+    ``_block_rows(tables)`` points, so all reductions run along whole rows
+    and each group's GEMM has one shape: no point's sums depend on the
+    other points of the block.
     """
     lx = np.subtract.outer(tables.xk, x)
     lx *= lx
@@ -255,10 +281,11 @@ def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
     the y-factor table point by point.  Where the shift bounding every
     exponent is not attained and the factored sums underflow, a point's
     row of :func:`shepard_features` is summed against ``beta``.  The points
-    are processed in input order, in blocks of ``_GEMM_ROWS`` (the last
-    one padded) over every group's whole tables on one BLAS thread, so
-    memory stays bounded and each point's value does not depend on the
-    other points of the call.
+    are processed in input order, in blocks of :func:`_block_rows` points
+    (the last one padded) over every group's whole tables on one BLAS
+    thread.  The block size depends on the dictionary alone, so memory
+    stays bounded and each point's value does not depend on the other
+    points of the call.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 1 or beta.shape[0] != len(dictionary):
@@ -273,9 +300,10 @@ def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise FloatingPointError("cannot evaluate at non-finite points")
     tables = _AxisTables(dictionary, beta)
+    rows = _block_rows(tables)
     # the coordinates padded to whole blocks with the first point; the
     # y-axis of the one 1D group is the key 0, at which every point sits
-    q = np.zeros((2, -(-n // _GEMM_ROWS) * _GEMM_ROWS))
+    q = np.zeros((2, -(-n // rows) * rows))
     q[: dictionary.dim, :n] = pts.T
     q[:, n:] = q[:, :1]
     # a blend below this denominator could hold subnormal weights above
@@ -283,15 +311,15 @@ def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
     # by row, so that each value stays independent of the other points
     den_floor = np.finfo(float).tiny * np.exp(_DROP_LOG_MARGIN) * len(dictionary)
     with one_blas_thread():
-        for s in range(0, n, _GEMM_ROWS):
-            k = min(_GEMM_ROWS, n - s)
-            num, den = _blend_block(q[0, s : s + _GEMM_ROWS], q[1, s : s + _GEMM_ROWS], tables)
+        for s in range(0, n, rows):
+            k = min(rows, n - s)
+            num, den = _blend_block(q[0, s : s + rows], q[1, s : s + rows], tables)
             num, den = num[:k], den[:k]
             exact = ~(den >= den_floor)
             out[s : s + k] = np.divide(num, den, out=np.empty(k), where=~exact)
             if np.any(exact):
-                rows = s + np.flatnonzero(exact)
-                out[rows] = (shepard_features(pts[rows], dictionary) * beta).sum(axis=1)
+                idx = s + np.flatnonzero(exact)
+                out[idx] = (shepard_features(pts[idx], dictionary) * beta).sum(axis=1)
     return out
 
 

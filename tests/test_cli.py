@@ -8,7 +8,8 @@ from fieldfit.cli import _build_parser, _provenance, main
 from fieldfit.fields import FieldData, box_field_2d
 from fieldfit.geometry import build_mesh
 from fieldfit.io import write_field
-from fieldfit.partition import load, make_partition
+from fieldfit.partition import GlobalSurrogate, load, make_partition, save
+from fieldfit.rbf import LocalSurrogate, centroid_dictionary
 
 
 @pytest.fixture()
@@ -239,6 +240,20 @@ def test_eval_constant_surrogate_constant_csv(tmp_path):
     main(["eval", "--surrogate", str(sur), "--nx", "5", "--ny", "5", "--out", str(out)])
     vals = np.loadtxt(out, delimiter=",", skiprows=2)[:, 2]
     np.testing.assert_allclose(vals, 2.0, rtol=1e-6)
+
+
+def test_eval_ny_for_a_1d_surrogate_is_config_error(tmp_path, capsys):
+    mesh = build_mesh(1, 4, (0.0, 1.0))
+    local = LocalSurrogate(dictionary=centroid_dictionary(mesh.centroids, 0.2), beta=np.zeros(4))
+    sur = tmp_path / "sur1d.txt"
+    save(GlobalSurrogate(partition=make_partition(mesh, 1), locals=(local,)), sur)
+    out = tmp_path / "eval.csv"
+    argv = ["eval", "--surrogate", str(sur), "--nx", "4", "--out", str(out)]
+    assert main(argv + ["--ny", "9"]) == 2
+    assert "--ny" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 2 + 4
 
 
 def test_darcy_constant_field_linear_pressure(tmp_path):

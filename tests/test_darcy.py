@@ -1,10 +1,15 @@
 import gc
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import fieldfit
 from fieldfit.darcy import (
     DarcyProblem,
     PressureSolution,
@@ -424,3 +429,28 @@ def test_1d_pressure_text_is_the_field_grammar():
     lines = text.getvalue().splitlines()
     assert lines[:2] == header.getvalue().splitlines() == ["1 8", "0.25 1.5"]
     np.testing.assert_array_equal(np.array(lines[2:], dtype=float), sol.values)
+
+
+_SOLVE_128 = """
+import sys
+import numpy as np
+from fieldfit.darcy import DarcyProblem, solve_darcy, triangulate
+from fieldfit.fields import box_field_2d
+data = box_field_2d()
+tri = triangulate(128, 128, data.mesh.bounds)
+problem = DarcyProblem(mesh=tri, coefficient=data.piecewise_eval, dirichlet={"left": 1.0, "right": 0.0})
+np.save(sys.argv[1], solve_darcy(problem).values)
+"""
+
+
+def test_2d_pressures_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 128^2 has 16,641 nodes, enough for OpenBLAS to split a dot product
+    # between threads when it may
+    src = str(Path(fieldfit.__file__).resolve().parents[1])
+    pressures = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"p{threads}.npy"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", _SOLVE_128, str(out)], env=env, check=True, timeout=120)
+        pressures.append(np.load(out))
+    np.testing.assert_array_equal(*pressures)

@@ -147,9 +147,10 @@ def _mixed_width_dictionary(rng, m, dim, lo=0.0, hi=1.0):
     )
 
 
-def _blocks(points):
-    """GEMM row blocks of shepard_eval on this batch."""
-    return -(-len(points) // rbf._GEMM_ROWS)
+def _blocks(points, d):
+    """GEMM row blocks of shepard_eval on this batch over dictionary d."""
+    rows = rbf._block_rows(rbf._AxisTables(d, np.zeros(len(d))))
+    return -(-len(points) // rows)
 
 
 @pytest.mark.parametrize("dim, m, n", [(1, 250, 6000), (2, 600, 20000)])
@@ -158,7 +159,7 @@ def test_shepard_eval_is_pointwise(dim, m, n):
     d = _mixed_width_dictionary(rng, m, dim)
     beta = rng.standard_normal(m)
     pts = rng.uniform(-0.2, 1.2, (n, dim))
-    assert _blocks(pts) >= 2
+    assert _blocks(pts, d) >= 2
     batch = shepard_eval(pts, d, beta)
     for j in rng.choice(n, 60, replace=False):
         np.testing.assert_array_equal(shepard_eval(pts[j : j + 1], d, beta), batch[j : j + 1])
@@ -210,6 +211,19 @@ def test_unattained_shift_bound_is_finished_exactly():
     np.testing.assert_allclose(got, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=atol)
 
 
+def test_exact_rows_in_early_blocks_leave_later_blocks_whole():
+    # every point near (0, 0) is finished exactly, in each of three blocks
+    d = RbfDictionary(centers=np.array([[0.0, 1.0], [1.0, 0.0]]), widths=np.array([0.01, 0.01]))
+    beta = np.array([2.0, -3.0])
+    rows = rbf._block_rows(rbf._AxisTables(d, beta))
+    rng = np.random.default_rng(47)
+    pts = 0.02 * rng.random((2 * rows + 5, 2))
+    assert _blocks(pts, d) == 3
+    got = _assert_pointwise(pts, d, beta, rng)
+    singles = [shepard_eval(pts[s : s + rows], d, beta) for s in range(0, pts.shape[0], rows)]
+    np.testing.assert_array_equal(got, np.concatenate(singles))
+
+
 def test_mixed_width_1d_matches_direct_sum():
     # shared coordinates with other widths, and one centre twice
     rng = np.random.default_rng(31)
@@ -230,9 +244,41 @@ def test_lattice_eval_is_pointwise_across_gemm_blocks():
     rng = np.random.default_rng(37)
     beta = rng.standard_normal(len(d))
     pts = np.vstack([0.016 + 0.12 * rng.random((4 * rbf._GEMM_ROWS, 2)), rng.random((500, 2)) * 0.5])
-    assert _blocks(pts) >= 3
+    assert _blocks(pts, d) >= 3
     got = _assert_pointwise(pts, d, beta, rng)
     np.testing.assert_allclose(got, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=1e-13)
+
+
+def test_small_1d_dictionary_is_pointwise_across_large_blocks():
+    # 16 cells' centroids and six narrower centres, about the step1d
+    # surrogate: 22 x-keys, so its blocks are far larger than the floor
+    xs = np.concatenate([(np.arange(16) + 0.5) / 512, [0.0151, 0.0154, 0.0156, 0.0158, 0.0161, 0.03]])
+    widths = np.concatenate([np.full(16, 0.0019), np.full(6, 0.00095)])
+    d = RbfDictionary(centers=xs[:, None], widths=widths)
+    rng = np.random.default_rng(43)
+    beta = rng.standard_normal(len(d))
+    rows = rbf._block_rows(rbf._AxisTables(d, beta))
+    assert rows > rbf._GEMM_ROWS
+    pts = rng.uniform(-0.005, 0.036, (3 * rows + 77, 1))
+    assert _blocks(pts, d) == 4
+    got = _assert_pointwise(pts, d, beta, rng)
+    np.testing.assert_allclose(got, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "kx, ky, rows",
+    [
+        (22, 1, 4096),  # step1d: 22 (coordinate, width) keys and the 1D y-key 0
+        (16, 16, 2048),  # one mesh-transfer subdomain
+        (224, 99, 512),  # the whole-domain case-adaptive surrogate: the floor
+    ],
+)
+def test_block_rows_follow_the_tables(kx, ky, rows):
+    x = np.linspace(0.0, 1.0, kx)
+    centers = x[:, None] if ky == 1 else np.column_stack([x, np.arange(kx) % ky / ky])
+    tables = rbf._AxisTables(RbfDictionary(centers=centers, widths=0.05), np.zeros(kx))
+    assert (tables.xk.shape[0], tables.yk.shape[0]) == (kx, ky)
+    assert rbf._block_rows(tables) == rows
 
 
 def test_narrow_widths_cost_whole_blocks(monkeypatch):
@@ -251,7 +297,7 @@ def test_narrow_widths_cost_whole_blocks(monkeypatch):
 
     monkeypatch.setattr(rbf, "_blend_block", counted)
     got = shepard_eval(pts, d, beta)
-    assert len(calls) <= _blocks(pts)
+    assert len(calls) <= _blocks(pts, d)
     np.testing.assert_allclose(got, shepard_direct(pts, d.centers, d.widths, beta), rtol=0, atol=1e-13)
 
 
