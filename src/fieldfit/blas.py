@@ -1,15 +1,14 @@
-"""Run a block of code with OpenBLAS on one thread.
+"""Put OpenBLAS on one thread for the rest of the process.
 
-Subdomain fits, Shepard evaluation and Darcy solves use
-:func:`one_blas_thread`: results can depend on the BLAS thread count, and
-on two cores OpenBLAS's default threading made small products both slower
-and erratic.  The thread-count controls are looked up once per process,
-the first time a block runs.
+Subdomain fits, Shepard evaluation and Darcy solves call
+:func:`use_one_blas_thread` first: results can depend on the BLAS thread
+count, and on two cores OpenBLAS's default threading made small products
+both slower and erratic.  The count is never restored.  The thread-count
+controls are looked up once per process, on the first call.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 
@@ -63,23 +62,17 @@ def _thread_controls():
     return tuple(_find_thread_controls())
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore its setting.
+def use_one_blas_thread() -> None:
+    """Set every loaded OpenBLAS that is not on one thread to one thread.
 
-    A library already on one thread is left alone, with no set call on the
-    way in or out.  After a fork OpenBLAS's thread pool is stopped, and any
-    set call, even to the count it already has, starts it again, and the
-    new helper threads spin against the work of the block (in a forked child
-    on 2 cores with OpenBLAS 0.3.31, one call per library took the process
-    from 1 to 3 threads and cost about 0.12 s of helper CPU).  So a worker
-    forked inside this block, or a nested block, makes no set call.
+    A library already on one thread gets no set call.  After a fork
+    OpenBLAS's thread pool is stopped, and any set call, even to the count
+    it already has, starts it again, and the new helper threads spin against
+    the work that follows (in a forked child on 2 cores with OpenBLAS
+    0.3.31, one call per library took the process from 1 to 3 threads and
+    cost about 0.12 s of helper CPU).  So a worker forked after this call,
+    and every later call, makes no set call.
     """
-    pinned = [(set_, n) for get, set_ in _thread_controls() if (n := get()) != 1]
-    for set_, _ in pinned:
-        set_(1)
-    try:
-        yield
-    finally:
-        for set_, n in pinned:
-            set_(n)
+    for get, set_ in _thread_controls():
+        if get() != 1:
+            set_(1)

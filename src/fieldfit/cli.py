@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--l1", default="0", help="l1 penalty, scalar or comma list per subdomain")
     f.add_argument("--l2", default="0", help="l2 penalty, scalar or comma list per subdomain")
     f.add_argument("--ktop", type=int, default=1, help="cells marked per round")
-    f.add_argument("--mq", type=int, default=3, help="new centers per marked cell")
     f.add_argument("--eta", type=float, default=0.5, help="width shrink factor")
     f.add_argument("--mmax", type=int, default=0, help="maximum added bases")
     f.add_argument("--eps-tol", type=float, default=0.0, help="residual stopping tolerance")
@@ -193,7 +192,7 @@ def _fit_setup(args, mesh):
                 m_max=args.mmax,
                 eps_tol=args.eps_tol,
                 eta=args.eta,
-                m_q=args.mq,
+                m_q=AdaptiveConfig.m_q if offsets is None else len(offsets),
                 max_rounds=args.max_rounds,
                 elastic=ElasticNetConfig(
                     lam1=lam1[i], lam2=lam2[i], tol=args.tol, max_iters=args.max_iters
@@ -202,9 +201,6 @@ def _fit_setup(args, mesh):
             )
             for i in range(n_sub)
         ]
-        if args.mmax > 0:
-            # enrichment needs offsets: fail now, not after the first fit
-            configs[0].offsets_for_dim(mesh.dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return part, spec, configs
@@ -225,11 +221,14 @@ def cmd_fit(args) -> int:
             f"{i},{report_csv_row(r)}" for i, rounds in enumerate(report.rounds) for r in rounds
         )
         fio.write_text(args.reports, lines, _provenance(args))
-    unconverged = [str(i) for i, rounds in enumerate(report.rounds) if not rounds[-1].converged]
+    unconverged = [i for i, rounds in enumerate(report.rounds) if not rounds[-1].converged]
     if unconverged:
+        names = ", ".join(map(str, unconverged))
+        # pure lasso can stall in its proximal-point loop, where a small lam2 > 0 certifies
+        lasso = any(configs[i].elastic.lam2 == 0 < configs[i].elastic.lam1 for i in unconverged)
         print(
-            f"warning: the final Elastic Net fit of subdomain(s) {', '.join(unconverged)} "
-            "is not certified optimal",
+            f"warning: the final Elastic Net fit of subdomain(s) {names} is not certified optimal"
+            + ("; a small positive --l2, such as 1e-8, gives a certified fit" if lasso else ""),
             file=sys.stderr,
         )
     # the final rounds' misfits, read off each fit's own expansion at its cells
@@ -380,7 +379,7 @@ def cmd_verify_theory(args) -> int:
 PRESETS = {
     "step1d": (
         lambda: step_field_1d(16), "4.64e-6",
-        ["--sigma", "0.0019", "--ktop", "1", "--mq", "3", "--eta", "0.5",
+        ["--sigma", "0.0019", "--ktop", "1", "--eta", "0.5",
          "--mmax", "6", "--max-rounds", "10"],
     ),
     "case-uniform": (
@@ -388,7 +387,7 @@ PRESETS = {
     ),
     "case-adaptive": (
         box_field_2d, "1e-4",
-        ["--sigma", "0.031", "--ktop", "204", "--mq", "3", "--eta", "0.5",
+        ["--sigma", "0.031", "--ktop", "204", "--eta", "0.5",
          "--mmax", "1836", "--max-rounds", "4", "--offsets", "0,0;-0.25,0;0.25,0",
          "--tol", "1e-6", "--max-iters", "4000"],
     ),
@@ -398,7 +397,7 @@ PRESETS = {
     ),
     "spe10": (
         None, "4.64e-6",
-        ["--sigma", "0.00159", "--px", "2", "--py", "2", "--ktop", "660", "--mq", "3",
+        ["--sigma", "0.00159", "--px", "2", "--py", "2", "--ktop", "660",
          "--mmax", "3960", "--max-rounds", "3", "--offsets", "0,0;-0.25,0;0.25,0",
          "--tol", "1e-6", "--max-iters", "2000"],
     ),

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .blas import one_blas_thread
+from .blas import use_one_blas_thread
 from .errors import NumericalError
 from .geometry import as_points, check_inside, grid_index, grid_points
 from .io import write_grid_values
@@ -275,7 +275,6 @@ def _as_func(value):
     return lambda pts, v=float(value): np.full(len(pts), v)
 
 
-@one_blas_thread()
 def solve_darcy(problem: DarcyProblem) -> PressureSolution:
     """Assemble and solve the P1 system for the pressure, on one BLAS thread.
 
@@ -285,12 +284,14 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
     systems are solved by ``scipy.sparse.linalg.cg`` preconditioned by one
     multigrid V(2,2) cycle, stopped by :class:`NumericalError` at its first
     non-finite iterate; 1D systems by LAPACK ``dptsv``.  CG's dot products
-    and norms take other bits on another count of BLAS threads, so the
-    whole solve runs on one and the pressures do not depend on the caller's.
+    and norms take other bits on another count of BLAS threads, so OpenBLAS
+    is first put on one thread (:func:`fieldfit.blas.use_one_blas_thread`)
+    and left there, and the pressures do not depend on the caller's count.
     ``diagnostics`` holds ``method`` ("cg" in 2D, "direct" in 1D, "none"
     without free nodes), ``iterations``, ``levels`` (multigrid levels, 1 for
     a direct solve) and ``residual`` (relative, of the reduced system).
     """
+    use_one_blas_thread()
     mesh = problem.mesh
     A, b = _assemble_1d(problem) if mesh.dim == 1 else _assemble_2d(problem)
     # a node is active when a kept element touches it, i.e. its row is stored

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .adaptive import AdaptiveConfig, RoundReport, fit_adaptive
-from .blas import one_blas_thread
+from .blas import use_one_blas_thread
 from .errors import DataError, FieldfitError
 from .fields import FieldData, SubdomainField
 from .geometry import Box, Mesh, as_points, build_mesh, grid_index, uniform_edges
@@ -185,15 +185,12 @@ def fit_parallel(
 
     ``configs`` and ``spec`` may be single values (broadcast) or sequences
     with one entry per subdomain.  Results are gathered by subdomain index
-    and are identical for any worker count: the fits run inside one
-    :func:`fieldfit.blas.one_blas_thread` block, so OpenBLAS is on one
-    thread for every fit, in this process and in pool workers alike, and
-    the fits are bit-identical in the calling process and in a worker.  The
-    pool is created and drained inside that block, so every worker is forked
-    on one thread and makes no set call, which would restart OpenBLAS's
-    thread pool in the worker; the caller's count is restored once the
-    fits are done.  Workers are forked explicitly: the pin and
-    :func:`_release_free_heap` both rely on a worker starting as a copy of
+    and are identical for any worker count: OpenBLAS is put on one thread
+    first (:func:`fieldfit.blas.use_one_blas_thread`) and left there, so
+    every fit runs on one thread, in this process and in pool workers
+    alike, and the fits are bit-identical in the calling process and in a
+    worker.  Workers are forked explicitly: they start on one thread, and
+    :func:`_release_free_heap` relies on a worker starting as a copy of
     this process.
     """
     n = partition.n_subdomains
@@ -204,15 +201,15 @@ def fit_parallel(
 
     t0 = time.perf_counter()
     used = max(1, min(workers, n))
-    with one_blas_thread():
-        if used == 1:
-            results = [_fit_one(t) for t in tasks]
-        else:
-            _release_free_heap()
-            with ProcessPoolExecutor(
-                max_workers=used, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                results = list(pool.map(_fit_one, tasks))
+    use_one_blas_thread()
+    if used == 1:
+        results = [_fit_one(t) for t in tasks]
+    else:
+        _release_free_heap()
+        with ProcessPoolExecutor(
+            max_workers=used, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            results = list(pool.map(_fit_one, tasks))
     total = time.perf_counter() - t0
 
     # the serial loop and pool.map both return results in task order

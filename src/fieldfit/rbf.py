@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blas import one_blas_thread
+from .blas import use_one_blas_thread
 from .geometry import Box, as_points, grid_points
 
 # log_features computes exponents in row blocks whose (rows, M) float64
@@ -35,6 +35,9 @@ _EVAL_BLOCK_BYTES = 2**20
 _DROP_LOG_MARGIN = 53.0 * np.log(2.0) + 2.0
 # exponents below this give subnormal or zero factors, which are set to 0
 _LOG_TINY = np.log(np.finfo(float).tiny)
+# shepard_features sets weights below 2^-53 of their row's largest, whose
+# shifted exponents lie below this, to exactly 0
+_LOG_ROUNDOFF = -53.0 * np.log(2.0)
 # shepard_eval evaluates points in blocks of _block_rows(tables), the last
 # one padded, so that every GEMM of a group has one shape: OpenBLAS gives a
 # row other bits in A[lo:j+1] @ C than in A @ C, but not across products
@@ -158,10 +161,13 @@ def shepard_features(points, dictionary: RbfDictionary) -> np.ndarray:
 
     The weights are exp(l - max l) per row, l the log-features, so every row
     holds an entry equal to 1 and normalizes exactly even where every raw
-    Gaussian underflows.
+    Gaussian underflows.  A weight below 2^-53 of that entry is exactly 0:
+    its products in a Gram matrix would be subnormals, which the CPU
+    computes on a slow path.
     """
     w = dictionary.log_features(points)
     w -= w.max(axis=1, keepdims=True)
+    np.copyto(w, -np.inf, where=w < _LOG_ROUNDOFF)
     np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return w
@@ -310,16 +316,16 @@ def shepard_eval(points, dictionary: RbfDictionary, beta) -> np.ndarray:
     # 2^-53 / (e^2 M) of it, so it is recomputed with the exact shift, row
     # by row, so that each value stays independent of the other points
     den_floor = np.finfo(float).tiny * np.exp(_DROP_LOG_MARGIN) * len(dictionary)
-    with one_blas_thread():
-        for s in range(0, n, rows):
-            k = min(rows, n - s)
-            num, den = _blend_block(q[0, s : s + rows], q[1, s : s + rows], tables)
-            num, den = num[:k], den[:k]
-            exact = ~(den >= den_floor)
-            out[s : s + k] = np.divide(num, den, out=np.empty(k), where=~exact)
-            if np.any(exact):
-                idx = s + np.flatnonzero(exact)
-                out[idx] = (shepard_features(pts[idx], dictionary) * beta).sum(axis=1)
+    use_one_blas_thread()
+    for s in range(0, n, rows):
+        k = min(rows, n - s)
+        num, den = _blend_block(q[0, s : s + rows], q[1, s : s + rows], tables)
+        num, den = num[:k], den[:k]
+        exact = ~(den >= den_floor)
+        out[s : s + k] = np.divide(num, den, out=np.empty(k), where=~exact)
+        if np.any(exact):
+            idx = s + np.flatnonzero(exact)
+            out[idx] = (shepard_features(pts[idx], dictionary) * beta).sum(axis=1)
     return out
 
 

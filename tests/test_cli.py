@@ -97,12 +97,24 @@ def test_fit_invalid_option_is_config_error(tmp_path, small_field, option, value
     assert not (tmp_path / "s.txt").exists()
 
 
-def test_fit_mq_without_offsets_is_config_error(tmp_path, small_field, capsys):
-    # default offsets exist only for m_q = 3, and enrichment needs them
-    rc = main(_fit_args(small_field, tmp_path / "s.txt", **{"--mq": "2", "--mmax": "6"}))
-    assert rc == 2
-    assert "offsets" in capsys.readouterr().err
-    assert not (tmp_path / "s.txt").exists()
+def test_fit_takes_mq_from_offsets(tmp_path, small_field):
+    # two offsets give two new centers per marked cell; there is no --mq
+    out = tmp_path / "s.txt"
+    rc = main(_fit_args(small_field, out, **{"--mmax": "6", "--offsets": "0,0;0.25,0"}))
+    assert rc == 0
+    assert len(load(out).locals[0].dictionary) == 64 + 6
+
+
+def test_uncertified_pure_lasso_warning_names_l2(tmp_path, small_field, capsys):
+    rc = main(_fit_args(small_field, tmp_path / "s.txt", **{"--l1": "1e-3", "--l2": "0"}))
+    assert rc == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert len(warnings) == 1
+    assert "not certified optimal" in warnings[0]
+    assert "--l2" in warnings[0]
+    rc = main(_fit_args(small_field, tmp_path / "s.txt", **{"--l1": "1e-3", "--l2": "1e-8"}))
+    assert rc == 0
+    assert "warning" not in capsys.readouterr().err
 
 
 def test_fit_unconverged_warns_and_succeeds(tmp_path, small_field, capsys):

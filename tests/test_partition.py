@@ -214,20 +214,19 @@ def test_fit_parallel_worker_count_bit_identical():
     np.testing.assert_array_equal(s1.evaluate(pts), s4.evaluate(pts))
 
 
-def test_fit_parallel_leaves_caller_blas_counts_as_found():
+def test_fit_parallel_leaves_caller_on_one_blas_thread():
     controls = blas._thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS thread control found in this process")
     found = [get() for get, _ in controls]
-    # a count above 1, so that a pin left in place shows
+    # a count above 1, so that the pin shows
     for _, set_ in controls:
         set_(2)
     try:
-        before = [get() for get, _ in controls]
         field = box_field_2d(8, 8)
         part = make_partition(field.mesh, 2, 2)
         fit_parallel(field, part, PLAIN_CFG, DictionarySpec(sigma=0.13), workers=2)
-        assert [get() for get, _ in controls] == before
+        assert [get() for get, _ in controls] == [1] * len(controls)
     finally:
         for (_, set_), n in zip(controls, found):
             set_(n)
@@ -246,7 +245,7 @@ def test_fit_parallel_workers_are_forked_on_one_thread():
     mesh = build_mesh(2, (4, 4), ((0, 1), (0, 1)))
     field = FieldData(mesh=mesh, values=np.ones(16))
     part = make_partition(mesh, 2, 1)
-    # the spec is built in a worker forked inside fit_parallel's one_blas_thread block
+    # the spec is built in a worker forked after fit_parallel put OpenBLAS on one thread
     with pytest.raises(DataError, match="subdomain 0: 1 threads"):
         fit_parallel(field, part, PLAIN_CFG, _ThreadCountSpec(sigma=0.1), workers=2)
 
