@@ -304,14 +304,7 @@ def _least_squares(W, y) -> FitResult:
     )
     stationary = float(np.max(np.abs(W.T @ r), initial=0.0)) <= bound
     objective = 0.5 * float(r @ r)
-    return FitResult(
-        beta=beta,
-        objective=objective,
-        iterations=1,
-        converged=bool(stationary),
-        active_set_size=int(np.count_nonzero(beta)),
-        objective_history=np.array([objective]),
-    )
+    return _result(beta, objective, [objective], stationary)
 
 
 def _sign_pattern_finish(W, y, signs, config: ElasticNetConfig):

@@ -314,34 +314,30 @@ def _parse_surrogate(lines) -> GlobalSurrogate:
     locals_ = []
     for i in range(part.n_subdomains):
         toks = line.split()
-        try:
-            if toks[0] != "subdomain" or int(toks[1]) != i:
-                raise ValueError(f"expected subdomain {i}, got {line!r}")
-            n_entries = int(toks[3])
-            log_flag = bool(int(toks[5]))
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"malformed subdomain header: {exc}") from exc
+        if not (len(toks) == 6 and toks[:3] == ["subdomain", str(i), "entries"]
+                and toks[3].isdecimal() and toks[4] == "log" and toks[5] in ("0", "1")):
+            expected = f"subdomain {i} entries <n> log <0|1>"
+            raise DataError(f"malformed subdomain header, expected {expected!r}: {line!r}")
+        n_entries = int(toks[3])
         if n_entries > len(lines) - pos:
             raise DataError(
                 f"surrogate file truncated: subdomain {i} declares {n_entries} entries "
                 f"but {len(lines) - pos} lines follow"
             )
-        centers = np.empty((n_entries, dim))
-        widths = np.empty(n_entries)
-        beta = np.empty(n_entries)
-        gens = np.empty(n_entries, dtype=int)
-        for m in range(n_entries):
-            toks = next_line().split()
-            if len(toks) != dim + 3:
-                raise DataError(f"malformed dictionary entry at subdomain {i} row {m}")
-            try:
-                centers[m] = [float(v) for v in toks[:dim]]
-                widths[m] = float(toks[dim])
-                beta[m] = float(toks[dim + 1])
-                gens[m] = int(toks[dim + 2])
-            except ValueError as exc:
-                raise DataError(f"malformed number at subdomain {i} row {m}: {exc}") from exc
+        block = lines[pos : pos + n_entries]
+        pos += n_entries
+        if any(len(row.split()) != dim + 3 for row in block):
+            raise DataError(f"malformed dictionary entry in subdomain {i}: not {dim + 3} fields")
+        # the generation column is parsed as float with the rest, then as int
+        flat = " ".join(block).split()
+        try:
+            table = np.array(flat, dtype=float).reshape(n_entries, dim + 3)
+            gens = np.array(flat[dim + 2 :: dim + 3], dtype=int)
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"malformed number in subdomain {i}: {exc}") from exc
+        centers, widths, beta = table[:, :dim], table[:, dim], table[:, dim + 1]
         dictionary = RbfDictionary(centers=centers, widths=widths, generations=gens)
+        log_flag = toks[5] == "1"
         locals_.append(LocalSurrogate(dictionary=dictionary, beta=beta, log_transform=log_flag))
         line = next_line()
     if line.strip() != "end":

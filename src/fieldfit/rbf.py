@@ -167,8 +167,9 @@ def shepard_features(points, dictionary: RbfDictionary) -> np.ndarray:
     """
     w = dictionary.log_features(points)
     w -= w.max(axis=1, keepdims=True)
-    np.copyto(w, -np.inf, where=w < _LOG_ROUNDOFF)
-    np.exp(w, out=w)
+    # entries below the cut skip exp and keep their negative log, clipped to 0
+    np.exp(w, out=w, where=w >= _LOG_ROUNDOFF)
+    np.maximum(w, 0.0, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return w
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericalError
 from .rbf import RbfDictionary, shepard_eval
@@ -84,6 +83,8 @@ def heaviside(y) -> np.ndarray:
 
 def logistic_profile(spec: StepInterfaceSpec, y) -> np.ndarray:
     """Closed-form profile 1 / (1 + exp(-rate * y)) along the normal."""
+    from scipy.special import expit  # slow to import, and only this function needs it
+
     return expit(spec.rate * np.asarray(y, dtype=float))
 
 

@@ -236,6 +236,21 @@ def test_eval_malformed_surrogate_is_data_error(tmp_path, small_field):
     assert rc == 3
 
 
+def test_eval_surrogate_with_overflowing_generation_is_data_error(tmp_path, small_field):
+    sur = tmp_path / "sur.txt"
+    assert main(_fit_args(small_field, sur, **{"--px": "2"})) == 0
+    lines = sur.read_text().splitlines()
+    first = next(i for i, l in enumerate(lines) if l.startswith("subdomain 0 ")) + 1
+    toks = lines[first].split()
+    toks[-1] = "100000000000000000000"  # x, y, width, coefficient, generation
+    lines[first] = " ".join(toks)
+    sur.write_text("\n".join(lines) + "\n")
+    rc = main(
+        ["eval", "--surrogate", str(sur), "--nx", "4", "--ny", "4", "--out", str(tmp_path / "e.csv")]
+    )
+    assert rc == 3
+
+
 def test_eval_constant_surrogate_constant_csv(tmp_path):
     mesh = build_mesh(2, (4, 4), ((0, 1), (0, 1)))
     field_path = tmp_path / "const.txt"

@@ -411,10 +411,12 @@ ENTRY = r"(?m)^([-+\w.]+) ([-+\w.]+) ([-+\w.]+) ([-+\w.]+) 0$"
         (ENTRY, r"\1 \2 inf \4 0"),
         (ENTRY, r"\1 \2 1e200 \4 0"),
         (ENTRY, r"\1 \2 1e-200 \4 0"),
+        (ENTRY, r"\1 \2 \3 \4 100000000000000000000"),
+        (r"(?m)^(subdomain 0 entries \d+) log [01]$", r"\1 log 7"),
     ],
     ids=["version", "grid-divisor", "grid-arity", "meta-value", "beta-nan", "beta-inf",
          "centre-inf", "centre-nan", "width-nan", "width-inf", "width-square-overflows",
-         "width-square-underflows"],
+         "width-square-underflows", "generation-overflows", "log-flag"],
 )
 def test_load_malformed_input_is_data_error(old, new):
     field = box_field_2d(8, 8)

@@ -134,12 +134,16 @@ def test_rate_without_finite_truncation_is_rejected():
     assert np.isfinite(spec.truncation)
 
 
-def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate is slow to import, and only l1_error needs it
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # each is slow to import: only l1_error needs scipy.integrate, only
+    # logistic_profile scipy.special, and nothing scipy.spatial
     src = os.path.dirname(os.path.dirname(fieldfit.__file__))
-    code = "import sys, fieldfit; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, fieldfit.cli; "
+        "print(*(m in sys.modules for m in ('scipy.integrate', 'scipy.special', 'scipy.spatial')))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False", "False"]
