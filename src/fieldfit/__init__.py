@@ -17,7 +17,6 @@ from .adaptive import (
 )
 from .darcy import (
     DarcyProblem,
-    LineMesh,
     PressureSolution,
     Triangulation,
     line_mesh,

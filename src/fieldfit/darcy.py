@@ -34,13 +34,11 @@ from scipy.linalg import lapack
 
 from .blas import use_one_blas_thread
 from .errors import NumericalError
-from .geometry import as_points, check_inside, grid_index, grid_points
+from .geometry import Mesh, as_points, build_mesh, check_inside, grid_index
 from .io import write_grid_values
 
-FACES_2D = ("left", "right", "bottom", "top")
-FACES_1D = ("left", "right")
 # the one triangle each face edge belongs to, indexed into the
-# (row, column, lower/upper) triangle grid; row and column alone give its nodes
+# (row, column, lower/upper) triangle grid
 _FACE_OWNER = {
     "left": (slice(None), 0, 1),
     "right": (slice(None), -1, 0),
@@ -62,28 +60,39 @@ _SEMI_RATIO = 2.0**0.5
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Structured triangle mesh of a rectangle, possibly with disk holes, held as its axes."""
+    """Structured triangle mesh of a rectangle, possibly with disk holes.
 
-    bounds: tuple[tuple[float, float], tuple[float, float]]
-    axes: tuple[np.ndarray, np.ndarray]  # node coordinates along x and along y
+    It is its cell mesh, whose node grid it shares, and the mask of the
+    triangles the holes leave.
+    """
+
+    cells: Mesh
     tri_kept: np.ndarray  # mask into the full 2*nx*ny triangle list
 
+    dim = 2
+
     @property
-    def counts(self) -> tuple[int, int]:
-        return self.axes[0].size - 1, self.axes[1].size - 1
+    def counts(self) -> tuple[int, ...]:
+        return self.cells.counts
+
+    @property
+    def bounds(self) -> tuple[tuple[float, float], ...]:
+        return self.cells.bounds
 
     @property
     def n_nodes(self) -> int:
-        return self.axes[0].size * self.axes[1].size
+        return self.cells.n_nodes
 
     @property
-    def dim(self) -> int:
-        return 2
-
-    @cached_property
     def nodes(self) -> np.ndarray:
-        """(n_nodes, 2) node coordinates, row-major with x fastest."""
-        return grid_points(self.axes)
+        return self.cells.nodes
+
+    @property
+    def faces(self) -> tuple[str, ...]:
+        return self.cells.faces
+
+    def face_nodes(self, face: str) -> np.ndarray:
+        return self.cells.face_nodes(face)
 
     @cached_property
     def triangles(self) -> np.ndarray:
@@ -94,22 +103,16 @@ class Triangulation:
         return self._kept(corners.reshape(-1, 3))
 
     def centroids(self) -> np.ndarray:
-        return self._kept(_full_centroids(*self.axes))
+        return self._kept(_full_centroids(*self.cells.edges))
 
     def areas(self) -> np.ndarray:
-        xs, ys = self.axes
+        xs, ys = self.cells.edges
         cell = 0.5 * (np.diff(xs) * np.diff(ys)[:, None])
         return self._kept(np.repeat(cell.ravel(), 2))
 
     def _kept(self, full: np.ndarray) -> np.ndarray:
         """The kept triangles' rows of an array over all 2*nx*ny triangles."""
         return full if self.tri_kept.all() else full[self.tri_kept]
-
-    def face_nodes(self, face: str) -> np.ndarray:
-        if face not in _FACE_OWNER:
-            raise ValueError(f"unknown face {face!r}; expected one of {FACES_2D}")
-        nx, ny = self.counts
-        return np.arange(self.n_nodes).reshape(ny + 1, nx + 1)[_FACE_OWNER[face][:2]]
 
 
 def _full_centroids(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -129,37 +132,9 @@ def _full_centroids(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out.reshape(-1, 2)
 
 
-@dataclass(frozen=True)
-class LineMesh:
-    """Uniform interval mesh for the one-dimensional solver."""
-
-    count: int
-    bounds: tuple[float, float]
-    nodes: np.ndarray  # (count + 1,)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def face_nodes(self, face: str) -> np.ndarray:
-        if face == "left":
-            return np.array([0])
-        if face == "right":
-            return np.array([self.count])
-        raise ValueError(f"unknown face {face!r}; expected one of {FACES_1D}")
-
-
-def line_mesh(n: int, bounds) -> LineMesh:
-    if n < 1:
-        raise ValueError(f"element count must be >= 1, got {n}")
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if lo >= hi:
-        raise ValueError(f"inverted bounds {bounds}")
-    return LineMesh(count=n, bounds=(lo, hi), nodes=np.linspace(lo, hi, n + 1))
+def line_mesh(n: int, bounds) -> Mesh:
+    """The 1D mesh of n elements over bounds (lo, hi), for the 1D solver."""
+    return build_mesh(1, n, bounds)
 
 
 def triangulate(nx: int, ny: int, bounds, holes=()) -> Triangulation:
@@ -169,20 +144,15 @@ def triangulate(nx: int, ny: int, bounds, holes=()) -> Triangulation:
     centroids fall inside a disk are removed, and the resulting staircase
     boundary is left to the natural (no-flow) boundary condition.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError(f"grid counts must be >= 1, got {(nx, ny)}")
-    b = np.asarray(bounds, dtype=float).reshape(2, 2)
-    axes = (np.linspace(b[0, 0], b[0, 1], nx + 1), np.linspace(b[1, 0], b[1, 1], ny + 1))
+    cells = build_mesh(2, (nx, ny), bounds)
     kept = np.ones(2 * nx * ny, dtype=bool)
     if holes:
-        cent = _full_centroids(*axes)
+        cent = _full_centroids(*cells.edges)
         for cx, cy, r in holes:
             kept &= (cent[:, 0] - cx) ** 2 + (cent[:, 1] - cy) ** 2 > r**2
         if not np.any(kept):
             raise ValueError("holes remove every triangle")
-    return Triangulation(
-        bounds=((b[0, 0], b[0, 1]), (b[1, 0], b[1, 1])), axes=axes, tri_kept=kept
-    )
+    return Triangulation(cells=cells, tri_kept=kept)
 
 
 @dataclass(frozen=True)
@@ -194,14 +164,14 @@ class DarcyProblem:
     for well-posedness.
     """
 
-    mesh: Triangulation | LineMesh
+    mesh: Triangulation | Mesh
     coefficient: Callable[[np.ndarray], np.ndarray]
     dirichlet: Mapping[str, float | Callable]
     neumann: Mapping[str, float | Callable] = field(default_factory=dict)
     source: float | Callable = 0.0
 
     def __post_init__(self):
-        faces = FACES_1D if self.mesh.dim == 1 else FACES_2D
+        faces = self.mesh.faces
         for name in (*self.dirichlet, *self.neumann):
             if name not in faces:
                 raise ValueError(f"unknown face {name!r}; expected one of {faces}")
@@ -221,7 +191,7 @@ class PressureSolution:
     can be read off the discrete residual.
     """
 
-    mesh: Triangulation | LineMesh
+    mesh: Triangulation | Mesh
     values: np.ndarray
     diagnostics: dict
     system: tuple = field(repr=False, default=None)
@@ -229,9 +199,9 @@ class PressureSolution:
     def interpolate(self, points) -> np.ndarray:
         if self.mesh.dim == 1:
             pts = as_points(points, 1)
-            lo, hi = self.mesh.bounds
-            check_inside(pts, [lo], [hi])
-            return np.interp(pts[:, 0], self.mesh.nodes, self.values)
+            nodes = self.mesh.edges[0]
+            check_inside(pts, nodes[:1], nodes[-1:])
+            return np.interp(pts[:, 0], nodes, self.values)
         return _interp_p1(self.mesh, self.values, points)
 
     def boundary_reaction(self, face: str) -> float:
@@ -247,7 +217,7 @@ def _interp_p1(tri: Triangulation, values: np.ndarray, points) -> np.ndarray:
     nx, ny = tri.counts
     (x0, x1), (y0, y1) = tri.bounds
     dx, dy = (x1 - x0) / nx, (y1 - y0) / ny
-    iy, ix = np.divmod(grid_index(pts, tri.axes), nx)
+    iy, ix = np.divmod(grid_index(pts, tri.cells.edges), nx)
     xi = (pts[:, 0] - x0) / dx - ix
     yi = (pts[:, 1] - y0) / dy - iy
     # barycentric weights on the corners 00, 10, 01, 11 of the triangle
@@ -302,8 +272,7 @@ def solve_darcy(problem: DarcyProblem) -> PressureSolution:
     for face, data in problem.dirichlet.items():
         nodes = mesh.face_nodes(face)
         nodes = nodes[active[nodes]]
-        coords = mesh.nodes[nodes] if mesh.dim == 2 else mesh.nodes[nodes][:, None]
-        x[nodes] = np.asarray(_as_func(data)(coords), dtype=float)
+        x[nodes] = np.asarray(_as_func(data)(mesh.nodes[nodes]), dtype=float)
         dir_mask[nodes] = True
     if not np.any(dir_mask):
         raise NumericalError("no Dirichlet nodes: the system is singular")
@@ -477,7 +446,7 @@ def _assemble_2d(problem: DarcyProblem):
     """
     mesh: Triangulation = problem.mesh
     nx, ny = mesh.counts
-    xs, ys = mesh.axes
+    xs, ys = mesh.cells.edges
     cent = mesh.centroids()
 
     k, f = _sample(problem, cent, "triangle")
@@ -543,10 +512,10 @@ def _per_cell(mesh: Triangulation, values: np.ndarray) -> np.ndarray:
 
 
 def _assemble_1d(problem: DarcyProblem):
-    mesh: LineMesh = problem.mesh
-    n = mesh.count
-    h = np.diff(mesh.nodes)
-    mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
+    mesh: Mesh = problem.mesh
+    (n,), (x,) = mesh.counts, mesh.edges
+    h = np.diff(x)
+    mids = 0.5 * (x[:-1] + x[1:])
 
     k, f = _sample(problem, mids[:, None], "element")
 
@@ -562,9 +531,8 @@ def _assemble_1d(problem: DarcyProblem):
     b[1:] += half
 
     for face, data in problem.neumann.items():
-        node = mesh.face_nodes(face)[0]
-        coord = mesh.nodes[node : node + 1][:, None]
-        b[node] += float(np.asarray(_as_func(data)(coord))[0])
+        node = mesh.face_nodes(face)
+        b[node] += float(np.asarray(_as_func(data)(mesh.nodes[node]))[0])
     return A, b
 
 
@@ -575,7 +543,7 @@ def pressure_rel_error(p_ref: PressureSolution, p_test: PressureSolution) -> flo
     integrand); the test pressure is evaluated by P1 interpolation.
     """
     if p_ref.mesh.dim == 1:
-        nodes = p_ref.mesh.nodes
+        nodes = p_ref.mesh.edges[0]
         g = 0.5 / np.sqrt(3.0)
         mids = 0.5 * (nodes[:-1] + nodes[1:])
         h = np.diff(nodes)
@@ -612,8 +580,4 @@ def write_pressure_text(solution: PressureSolution, sink) -> None:
     coefficient fields, pressure values may be zero or negative.
     """
     mesh = solution.mesh
-    if mesh.dim == 1:
-        counts, bounds = (mesh.count,), (mesh.bounds,)
-    else:
-        counts, bounds = mesh.counts, mesh.bounds
-    write_grid_values(sink, [n + 1 for n in counts], bounds, solution.values)
+    write_grid_values(sink, [n + 1 for n in mesh.counts], mesh.bounds, solution.values)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, Mesh, build_mesh, grid_index, uniform_edges
+from .geometry import Box, Mesh, build_mesh, grid_index
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class FieldData:
 
     def piecewise_eval(self, points) -> np.ndarray:
         """Staircase evaluation: the value of the (half-open) cell containing each point."""
-        return self.values[grid_index(points, uniform_edges(self.mesh.counts, self.mesh.bounds))]
+        return self.values[grid_index(points, self.mesh.edges)]
 
     def cells(self, box: Box, cell_indices) -> "SubdomainField":
         """The slice of the given cells, ascending, owned by ``box``."""

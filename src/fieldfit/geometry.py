@@ -1,9 +1,12 @@
 """Structured 1D/2D cell meshes, half-open boxes and grid location.
 
 Cells are congruent axis-aligned intervals (1D) or rectangles (2D), indexed
-row-major with the x index fastest: ``index = iy * nx + ix``.  Boxes carry a
-per-axis half-open flag on the upper face so that a point lying on a face
-shared by two boxes belongs to exactly one of them.
+row-major with the x index fastest: ``index = iy * nx + ix``.  Every grid of
+the package takes its per-axis edges from one rule, :func:`uniform_edges`:
+fitted cells, partition boxes and the Darcy meshes, whose nodes are the
+tensor grid of a :class:`Mesh`'s edges.  Boxes carry a per-axis half-open
+flag on the upper face so that a point lying on a face shared by two boxes
+belongs to exactly one of them.
 
 Point arrays are shaped by one rule, :func:`as_points`, and subdomain
 dispatch, staircase lookup and P1 interpolation locate points by one
@@ -39,8 +42,15 @@ def grid_points(axes) -> np.ndarray:
 
 
 def uniform_edges(counts, bounds) -> tuple[np.ndarray, ...]:
-    """Per-axis edges of ``counts[k]`` equal cells over ``bounds[k]``."""
-    return tuple(lo + (hi - lo) * np.arange(n + 1) / n for n, (lo, hi) in zip(counts, bounds))
+    """Per-axis edges of ``counts[k]`` equal cells over ``bounds[k]``.
+
+    Edge i is ``lo + (hi - lo) * i / n``, and the last edge is exactly ``hi``,
+    so a point on the closed upper face lies inside the grid.
+    """
+    edges = tuple(lo + (hi - lo) * np.arange(n + 1) / n for n, (lo, hi) in zip(counts, bounds))
+    for e, (_, hi) in zip(edges, bounds):
+        e[-1] = hi
+    return edges
 
 
 def check_inside(pts: np.ndarray, lo, hi) -> None:
@@ -115,9 +125,17 @@ class Box:
         return np.clip(np.asarray(point, dtype=float), self.lo, self.hi)
 
 
+# each named face of a mesh: (axis, end), the end an index into that axis's edges
+FACES = {"left": (0, 0), "right": (0, -1), "bottom": (1, 0), "top": (1, -1)}
+
+
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform structured mesh of cells over an axis-aligned box."""
+    """Uniform structured mesh of cells over an axis-aligned box.
+
+    The cell edges along each axis are :func:`uniform_edges`; their tensor
+    grid is the mesh's node grid, numbered row-major with x fastest.
+    """
 
     dim: int
     counts: tuple[int, ...]
@@ -130,8 +148,8 @@ class Mesh:
             raise ValueError("counts/bounds do not match dim")
         if any(n < 1 for n in self.counts):
             raise ValueError(f"cell counts must be >= 1, got {self.counts}")
-        if not all(math.isfinite(v) for b in self.bounds for v in b):
-            raise ValueError(f"bounds must be finite: {self.bounds}")
+        if not all(math.isfinite(v) for lo, hi in self.bounds for v in (lo, hi, hi - lo)):
+            raise ValueError(f"bounds and their extents must be finite: {self.bounds}")
         if any(b[0] >= b[1] for b in self.bounds):
             raise ValueError(f"inverted or degenerate bounds: {self.bounds}")
 
@@ -151,6 +169,32 @@ class Mesh:
     @property
     def cell_measure(self) -> float:
         return float(np.prod(self.cell_size))
+
+    @property
+    def n_nodes(self) -> int:
+        return math.prod(n + 1 for n in self.counts)
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, ...]:
+        """Per-axis cell edges, the node coordinates along each axis."""
+        return uniform_edges(self.counts, self.bounds)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(n_nodes, dim) node coordinates, row-major with x fastest."""
+        return grid_points(self.edges)
+
+    @property
+    def faces(self) -> tuple[str, ...]:
+        return tuple(f for f, (axis, _) in FACES.items() if axis < self.dim)
+
+    def face_nodes(self, face: str) -> np.ndarray:
+        """Indices of the nodes on a named face, ascending."""
+        if face not in self.faces:
+            raise ValueError(f"unknown face {face!r}; expected one of {self.faces}")
+        axis, end = FACES[face]
+        grid = np.arange(self.n_nodes).reshape([n + 1 for n in reversed(self.counts)])
+        return np.take(grid, [end], axis=self.dim - 1 - axis).ravel()
 
     @cached_property
     def centroids(self) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import use_one_blas_thread
-from .geometry import Box, as_points, grid_points
+from .geometry import Box, as_points, build_mesh
 
 # log_features computes exponents in row blocks whose (rows, M) float64
 # array takes about 1 MB, so a block and its one scratch array stay small;
@@ -364,12 +364,6 @@ def centroid_dictionary(centroids, sigma: float) -> RbfDictionary:
 
 
 def lattice_dictionary(box: Box, g: int, sigma: float) -> RbfDictionary:
-    """Uniform g^dim lattice of centers over a box at (k + 1/2)/g positions."""
-    if g < 1:
-        raise ValueError(f"lattice resolution must be >= 1, got {g}")
-    axes = [
-        box.lo[k] + (np.arange(g) + 0.5) * (box.hi[k] - box.lo[k]) / g
-        for k in range(box.dim)
-    ]
-    centers = grid_points(axes)
+    """Uniform g^dim lattice of centers over a box: the centroids of its g^dim equal cells."""
+    centers = build_mesh(box.dim, (g,) * box.dim, tuple(zip(box.lo, box.hi))).centroids
     return RbfDictionary(centers=centers, widths=np.full(centers.shape[0], float(sigma)))

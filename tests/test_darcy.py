@@ -52,7 +52,7 @@ def test_two_layer_series_exact_1d():
     sol = solve_darcy(prob)
     # exact piecewise-linear series solution, interface value k1/(k1+k2)
     q = 1.0 / (0.5 / k1 + 0.5 / k2)
-    x = mesh.nodes
+    x = mesh.edges[0]
     exact = np.where(x < 0.5, 1 - q * x / k1, q * (1 - x) / k2)
     np.testing.assert_allclose(sol.values, exact, atol=1e-12)
     assert sol.interpolate([0.5])[0] == pytest.approx(k1 / (k1 + k2), abs=1e-12)
@@ -65,7 +65,7 @@ def test_large_1d_system_solves_directly():
     assert sol.diagnostics["method"] == "direct"
     assert sol.diagnostics["residual"] <= 1e-12
     # the condition number grows like n^2 ~ 6e8, so nodal rounding reaches ~3e-11
-    np.testing.assert_allclose(sol.values, 1 - mesh.nodes, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(sol.values, 1 - mesh.edges[0], rtol=0, atol=1e-9)
 
 
 def test_1d_tridiagonal_solve_matches_sparse_lu():
@@ -137,6 +137,32 @@ def test_geometry_matches_gather_formulas(counts, bounds, holes):
     on = {"left": x == x0, "right": x == x1, "bottom": y == y0, "top": y == y1}
     for face, mask in on.items():
         assert np.array_equal(tri.face_nodes(face), np.flatnonzero(mask))
+    line = line_mesh(counts[0], bounds[0])
+    assert line.nodes.shape == (counts[0] + 1, 1)
+    for face, end in (("left", x0), ("right", x1)):
+        assert np.array_equal(line.face_nodes(face), np.flatnonzero(line.nodes[:, 0] == end))
+    with pytest.raises(ValueError, match="unknown face"):
+        line.face_nodes("top")
+
+
+@pytest.mark.parametrize(
+    "build", [lambda n, b: line_mesh(n, b[0]), lambda n, b: triangulate(n, n, b)], ids=["line", "tri"]
+)
+@pytest.mark.parametrize(
+    "n, bounds",
+    [
+        (0, ((0, 1), (0, 1))),
+        (4, ((1, 0), (0, 1))),
+        (4, ((0, 0), (0, 1))),
+        (4, ((0, np.inf), (0, 1))),
+        (4, ((np.nan, 1), (0, 1))),
+        (4, ((-1e308, 1e308), (0, 1))),
+    ],
+    ids=["no-cells", "inverted", "degenerate", "infinite", "nan", "overflowing-extent"],
+)
+def test_meshes_reject_bad_counts_and_bounds(build, n, bounds):
+    with pytest.raises(ValueError):
+        build(n, bounds)
 
 
 def test_manufactured_solution_second_order():
@@ -193,9 +219,9 @@ def test_pressure_rel_error_identity_and_scaling():
 def test_pressure_rel_error_1d_closed_form():
     # p_ref = 1 - x on [0, 1] and p_test = p_ref + c: |c| / sqrt(1/3) = |c| sqrt(3)
     ref_mesh, test_mesh = line_mesh(16, (0, 1)), line_mesh(5, (0, 1))
-    ref = PressureSolution(mesh=ref_mesh, values=1.0 - ref_mesh.nodes, diagnostics={})
+    ref = PressureSolution(mesh=ref_mesh, values=1.0 - ref_mesh.edges[0], diagnostics={})
     for c in (1e-3, -0.25):
-        test = PressureSolution(mesh=test_mesh, values=1.0 - test_mesh.nodes + c, diagnostics={})
+        test = PressureSolution(mesh=test_mesh, values=1.0 - test_mesh.edges[0] + c, diagnostics={})
         assert pressure_rel_error(ref, test) == pytest.approx(abs(c) * np.sqrt(3.0), rel=1e-12)
 
 
@@ -405,7 +431,7 @@ def test_interpolate_rejects_outside_points():
     with pytest.raises(ValueError, match="point index 0"):
         line.interpolate([np.nan])
     inside = np.linspace(0.0, 1.0, 13)
-    expected = np.interp(inside, line.mesh.nodes, line.values)
+    expected = np.interp(inside, line.mesh.edges[0], line.values)
     np.testing.assert_array_equal(line.interpolate(inside), expected)
 
 

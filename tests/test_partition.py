@@ -166,6 +166,21 @@ def test_flat_scalars_are_points_in_1d():
     np.testing.assert_array_equal(sur.partition.boxes[0].contains_many(x), [True, False, False])
 
 
+def test_points_on_the_closed_upper_face_are_inside():
+    # 0.836 + (1.841 - 0.836) rounds to one ulp below 1.841, so the edge
+    # formula alone puts the last edge short of the upper bound
+    mesh = build_mesh(2, (8, 8), ((0.836, 1.841), (0.0, 1.0)))
+    field = FieldData(mesh=mesh, values=np.arange(1.0, 65.0))
+    part = make_partition(mesh, 2, 2)
+    sur = GlobalSurrogate(partition=part, locals=tuple(
+        LocalSurrogate(centroid_dictionary(sub.centroids, 0.1), np.log(sub.values))
+        for sub in part.subdomain_fields(field)
+    ))
+    corner = [[1.841, 0.5], [1.841, 1.0]]
+    np.testing.assert_array_equal(field.piecewise_eval(corner), [40.0, 64.0])
+    np.testing.assert_array_equal(sur.evaluate(corner), sur.locals[3].evaluate(corner))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_points_raise_naming_the_index(bad):
     x = np.array([0.001, 0.02, bad])
